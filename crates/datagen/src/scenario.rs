@@ -833,9 +833,7 @@ impl<'a> Engine<'a> {
             &mut self.rngs[idx],
             &mut agent.current_brand,
             items_buf,
-            &mut |r| {
-                builder.push(r);
-            },
+            builder,
         );
         if month + 1 < self.n_months {
             self.queue.push(Event {

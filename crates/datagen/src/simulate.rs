@@ -15,7 +15,7 @@
 use crate::profile::CustomerProfile;
 use crate::seasonality::Seasonality;
 use attrition_store::{ReceiptStore, ReceiptStoreBuilder};
-use attrition_types::{Basket, Cents, Date, ItemId, Receipt, Taxonomy};
+use attrition_types::{Cents, Date, ItemId, Taxonomy};
 use attrition_util::{Rng, Zipf};
 
 /// Simulation clock and environment.
@@ -99,9 +99,7 @@ impl Simulator {
                 &mut rng,
                 &mut current_brand,
                 &mut items_buf,
-                &mut |r| {
-                    builder.push(r);
-                },
+                builder,
             );
         }
     }
@@ -140,7 +138,7 @@ pub(crate) fn simulate_customer_month(
     rng: &mut Rng,
     current_brand: &mut [ItemId],
     items_buf: &mut Vec<ItemId>,
-    sink: &mut dyn FnMut(Receipt),
+    builder: &mut ReceiptStoreBuilder,
 ) -> u64 {
     let month = ctx.month;
     if month >= profile.entry_month && profile.brand_switch_prob > 0.0 {
@@ -180,18 +178,19 @@ pub(crate) fn simulate_customer_month(
             // A till receipt always has at least one line.
             items_buf.push(ItemId::new(ctx.exploration.sample(rng) as u32));
         }
-        let basket = Basket::new(items_buf.clone());
+        items_buf.sort_unstable();
+        items_buf.dedup();
         // Baskets are item *sets* (the model ignores quantity), but
         // the till total reflects quantities: most lines are a
         // single unit, with an occasional multi-pack.
-        let total: Cents = basket
+        let total: Cents = items_buf
             .iter()
-            .map(|i| {
+            .map(|&i| {
                 let quantity = 1 + rng.poisson(0.25) as i64;
                 ctx.taxonomy.price_of(i).unwrap_or(Cents::ZERO) * quantity
             })
             .sum();
-        sink(Receipt::new(profile.customer, date, basket, total));
+        builder.push_row(profile.customer, date, total, items_buf);
     }
     n_trips
 }

@@ -25,7 +25,7 @@
 //! that violates the crate's invariants.
 
 use crate::{ReceiptStore, ReceiptStoreBuilder, StoreError};
-use attrition_types::{Basket, Cents, CustomerId, Date, ItemId, Receipt};
+use attrition_types::{Cents, CustomerId, Date, ItemId};
 
 /// File magic: "ATTRSTO" + format version 1.
 pub const MAGIC: [u8; 8] = *b"ATTRSTO1";
@@ -291,9 +291,9 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<ReceiptStore, StoreError> {
         }
     }
 
-    // Rebuild through the builder: it re-sorts, which also restores the
-    // index and keeps every invariant in one place. Verify the input was
-    // already sorted so silent corruption is still reported.
+    // Rebuild through the builder, which keeps every invariant in one
+    // place. Verify the input was already sorted so silent corruption is
+    // still reported (and the builder keeps the rows as they are).
     let mut prev: Option<(u64, i32)> = None;
     let mut builder = ReceiptStoreBuilder::with_capacity(n);
     for i in 0..n {
@@ -308,16 +308,14 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<ReceiptStore, StoreError> {
         prev = Some((customer, date));
         let lo = read_u32(offsets, i) as usize;
         let hi = read_u32(offsets, i + 1) as usize;
-        let basket_items: Vec<ItemId> = items[lo * 4..hi * 4]
-            .chunks_exact(4)
-            .map(|c| ItemId::new(u32::from_le_bytes(c.try_into().expect("4"))))
-            .collect();
-        builder.push(Receipt::new(
+        for c in items[lo * 4..hi * 4].chunks_exact(4) {
+            builder.push_item(ItemId::new(u32::from_le_bytes(c.try_into().expect("4"))));
+        }
+        builder.finish_row(
             CustomerId::new(customer),
             Date::from_days(date),
-            Basket::new(basket_items),
             Cents(total),
-        ));
+        );
     }
     Ok(builder.build())
 }
@@ -337,6 +335,7 @@ pub fn read_store_file(path: &std::path::Path) -> Result<ReceiptStore, StoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attrition_types::{Basket, Receipt};
 
     fn d(y: i32, m: u32, day: u32) -> Date {
         Date::from_ymd(y, m, day).unwrap()

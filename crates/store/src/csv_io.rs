@@ -11,10 +11,9 @@
 //! subcommand writes and the other subcommands read.
 
 use crate::{ReceiptStore, ReceiptStoreBuilder, StoreError};
-use attrition_types::{
-    Basket, Cents, CustomerId, Date, ItemId, Receipt, Taxonomy, TaxonomyBuilder,
-};
-use attrition_util::csv::{parse_document, CsvWriter};
+use attrition_types::{Cents, CustomerId, Date, ItemId, Taxonomy, TaxonomyBuilder};
+use attrition_util::csv::{document_lines, parse_record, CsvWriter};
+use std::io::Write as _;
 
 /// Header of the receipts CSV.
 pub const RECEIPTS_HEADER: [&str; 4] = ["customer", "date", "total_cents", "items"];
@@ -29,26 +28,39 @@ pub const TAXONOMY_HEADER: [&str; 5] = [
 ];
 
 /// Serialize a store to receipts CSV (with header).
+///
+/// Every field is numeric or a date, so nothing needs quoting and each
+/// row is written straight into one buffer.
 pub fn receipts_to_csv(store: &ReceiptStore) -> String {
-    let mut w = CsvWriter::new();
-    w.record(&RECEIPTS_HEADER);
-    let mut items_buf = String::new();
+    let mut out = Vec::with_capacity(28 * store.num_receipts() + 4 * store.num_item_occurrences());
+    out.extend_from_slice(RECEIPTS_HEADER.join(",").as_bytes());
+    out.push(b'\n');
     for r in store.receipts() {
-        items_buf.clear();
+        let _ = write!(out, "{},{},{},", r.customer.raw(), r.date, r.total.raw());
         for (i, item) in r.items.iter().enumerate() {
             if i > 0 {
-                items_buf.push(' ');
+                out.push(b' ');
             }
-            items_buf.push_str(&item.raw().to_string());
+            push_decimal(&mut out, item.raw());
         }
-        w.record(&[
-            &r.customer.raw().to_string(),
-            &r.date.to_string(),
-            &r.total.raw().to_string(),
-            &items_buf,
-        ]);
+        out.push(b'\n');
     }
-    w.finish()
+    String::from_utf8(out).expect("receipts CSV is ASCII")
+}
+
+/// Append `value` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut value: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 fn csv_err(line: usize, message: impl Into<String>) -> StoreError {
@@ -58,33 +70,112 @@ fn csv_err(line: usize, message: impl Into<String>) -> StoreError {
     }
 }
 
-fn parse_receipt_row(fields: &[String], line: usize) -> Result<Receipt, StoreError> {
+/// The customer, date and total fields of a receipt row.
+fn parse_head(
+    customer: &str,
+    date: &str,
+    total: &str,
+    line: usize,
+) -> Result<(CustomerId, Date, Cents), StoreError> {
+    let customer: u64 = customer
+        .parse()
+        .map_err(|_| csv_err(line, "bad customer id"))?;
+    let date = Date::parse_iso(date).map_err(|e| csv_err(line, e.to_string()))?;
+    let total: i64 = total
+        .parse()
+        .map_err(|_| csv_err(line, "bad total_cents"))?;
+    Ok((CustomerId::new(customer), date, Cents(total)))
+}
+
+/// Parse one row straight into `builder` from borrowed fields, reading
+/// the items byte by byte. Returns `None`, possibly after pushing some
+/// items, when the row needs [`parse_row_general`]: it holds a quote or a
+/// field count other than 4, or its items hold a byte other than an ASCII
+/// digit or space, or an id beyond `u32`.
+fn parse_row_fast(
+    record: &str,
+    line: usize,
+    builder: &mut ReceiptStoreBuilder,
+) -> Option<Result<(), StoreError>> {
+    let bytes = record.as_bytes();
+    let mut commas = [0; 3];
+    let mut found = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'"' => return None,
+            b',' => {
+                commas[found] = i;
+                found += 1;
+                if found == 3 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    if found < 3 {
+        return None;
+    }
+    let items = &bytes[commas[2] + 1..];
+    let head = parse_head(
+        &record[..commas[0]],
+        &record[commas[0] + 1..commas[1]],
+        &record[commas[1] + 1..commas[2]],
+        line,
+    );
+    let (customer, date, total) = match head {
+        Ok(head) => head,
+        // The general parser counts fields and unquotes before it reads
+        // any of them.
+        Err(_) if items.iter().any(|&b| b == b',' || b == b'"') => return None,
+        Err(err) => return Some(Err(err)),
+    };
+    for token in items.split(|&b| b == b' ') {
+        if token.is_empty() {
+            continue;
+        }
+        // A `u32` has at most 10 digits; a longer token, even a
+        // zero-padded one, takes the general parser.
+        if token.len() > 10 {
+            return None;
+        }
+        let mut value = 0u64;
+        for &b in token {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            value = value * 10 + u64::from(digit);
+        }
+        builder.push_item(ItemId::new(u32::try_from(value).ok()?));
+    }
+    builder.finish_row(customer, date, total);
+    Some(Ok(()))
+}
+
+/// Parse one row with the general CSV reader: quoted fields, and any
+/// whitespace between items.
+fn parse_row_general(
+    record: &str,
+    line: usize,
+    builder: &mut ReceiptStoreBuilder,
+) -> Result<(), StoreError> {
+    let fields = parse_record(record).ok_or_else(|| csv_err(line, "malformed record"))?;
     if fields.len() != 4 {
         return Err(csv_err(
             line,
             format!("expected 4 fields, got {}", fields.len()),
         ));
     }
-    let customer: u64 = fields[0]
-        .parse()
-        .map_err(|_| csv_err(line, "bad customer id"))?;
-    let date = Date::parse_iso(&fields[1]).map_err(|e| csv_err(line, e.to_string()))?;
-    let total: i64 = fields[2]
-        .parse()
-        .map_err(|_| csv_err(line, "bad total_cents"))?;
-    let mut items = Vec::new();
+    let (customer, date, total) = parse_head(&fields[0], &fields[1], &fields[2], line)?;
     for tok in fields[3].split_whitespace() {
         let raw: u32 = tok
             .parse()
             .map_err(|_| csv_err(line, format!("bad item id {tok:?}")))?;
-        items.push(ItemId::new(raw));
+        builder.push_item(ItemId::new(raw));
     }
-    Ok(Receipt::new(
-        CustomerId::new(customer),
-        date,
-        Basket::new(items),
-        Cents(total),
-    ))
+    builder.finish_row(customer, date, total);
+    Ok(())
 }
 
 /// Flush ingest telemetry once per parse (no per-row atomics).
@@ -102,35 +193,25 @@ fn record_ingest_metrics(bytes: usize, rows: u64, receipts: u64, quarantined: u6
 fn parse_receipts(text: &str, lenient: bool) -> Result<(ReceiptStore, u64), StoreError> {
     let mut builder = ReceiptStoreBuilder::new();
     let mut rows = 0u64;
-    let mut receipts = 0u64;
     let mut quarantined = 0u64;
-    for (idx, record) in parse_document(text).enumerate() {
-        let line = idx + 1;
-        let parsed = record
-            .ok_or_else(|| csv_err(line, "malformed record"))
-            .and_then(|fields| {
-                if idx == 0 && fields.first().map(String::as_str) == Some("customer") {
-                    Ok(None) // header
-                } else {
-                    parse_receipt_row(&fields, line).map(Some)
-                }
-            });
-        match parsed {
-            Ok(None) => continue,
-            Ok(Some(receipt)) => {
-                rows += 1;
-                receipts += 1;
-                builder.push(receipt);
+    for (idx, (line, record)) in document_lines(text).enumerate() {
+        if idx == 0 && parse_record(record).is_some_and(|f| f[0] == RECEIPTS_HEADER[0]) {
+            continue;
+        }
+        rows += 1;
+        let parsed = parse_row_fast(record, line, &mut builder).unwrap_or_else(|| {
+            builder.discard_row();
+            parse_row_general(record, line, &mut builder)
+        });
+        if let Err(err) = parsed {
+            if !lenient {
+                return Err(err);
             }
-            Err(err) if lenient => {
-                rows += 1;
-                quarantined += 1;
-                let _ = err;
-            }
-            Err(err) => return Err(err),
+            builder.discard_row();
+            quarantined += 1;
         }
     }
-    record_ingest_metrics(text.len(), rows, receipts, quarantined);
+    record_ingest_metrics(text.len(), rows, rows - quarantined, quarantined);
     Ok((builder.build(), quarantined))
 }
 
@@ -175,10 +256,9 @@ pub fn taxonomy_from_csv(text: &str) -> Result<Taxonomy, StoreError> {
     let mut builder = TaxonomyBuilder::new();
     let mut next_segment: u32 = 0;
     let mut next_item: u32 = 0;
-    for (idx, record) in parse_document(text).enumerate() {
-        let line = idx + 1;
-        let fields = record.ok_or_else(|| csv_err(line, "malformed record"))?;
-        if idx == 0 && fields.first().map(String::as_str) == Some("item") {
+    for (idx, (line, record)) in document_lines(text).enumerate() {
+        let fields = parse_record(record).ok_or_else(|| csv_err(line, "malformed record"))?;
+        if idx == 0 && fields[0] == TAXONOMY_HEADER[0] {
             continue;
         }
         if fields.len() != 5 {
@@ -222,7 +302,7 @@ pub fn taxonomy_from_csv(text: &str) -> Result<Taxonomy, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attrition_types::TaxonomyBuilder;
+    use attrition_types::{Basket, Receipt, TaxonomyBuilder};
 
     fn d(y: i32, m: u32, day: u32) -> Date {
         Date::from_ymd(y, m, day).unwrap()
@@ -276,8 +356,16 @@ mod tests {
         assert!(receipts_from_csv("5,2013-01-02,99\n").is_err());
     }
 
+    /// Held by every test that quarantines rows, since
+    /// `lenient_parse_records_metrics_when_enabled` counts quarantined rows
+    /// process-wide.
+    static QUARANTINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn lenient_parse_quarantines_bad_rows() {
+        let _serial = QUARANTINE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let csv = "customer,date,total_cents,items\n\
                    5,2013-01-02,99,1 2\n\
                    x,2013-01-02,99,1\n\
@@ -290,6 +378,9 @@ mod tests {
 
     #[test]
     fn lenient_parse_records_metrics_when_enabled() {
+        let _serial = QUARANTINE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let csv = "5,2013-01-02,99,1 2\nbad row\n";
         attrition_obs::set_enabled(true);
         attrition_obs::global().reset();
@@ -301,7 +392,7 @@ mod tests {
         assert_eq!(quarantined, 1);
         // Other tests in this process may parse concurrently while the
         // flag is up, so assert lower bounds except for quarantining,
-        // which only this test triggers.
+        // which no other test does while this one holds `QUARANTINE`.
         assert_eq!(snap.counter("store.rows_quarantined"), Some(1));
         assert!(snap.counter("store.rows_read").unwrap_or(0) >= 2);
         assert!(snap.counter("store.receipts_loaded").unwrap_or(0) >= 1);
@@ -315,6 +406,52 @@ mod tests {
             StoreError::Csv { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    fn error_line(err: StoreError) -> usize {
+        match err {
+            StoreError::Csv { line, .. } => line,
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn csv_error_line_counts_blank_lines() {
+        let lf = "customer,date,total_cents,items\n\n5,2013-01-02,99,1\n\n6,bad,9,1\n";
+        assert_eq!(error_line(receipts_from_csv(lf).unwrap_err()), 5);
+        let crlf = lf.replace('\n', "\r\n");
+        assert_eq!(error_line(receipts_from_csv(&crlf).unwrap_err()), 5);
+        let taxonomy = "item,segment,item_name,segment_name,price_cents\r\n\r\nx,0,p,s,10\r\n";
+        assert_eq!(error_line(taxonomy_from_csv(taxonomy).unwrap_err()), 3);
+        // A header after leading blank lines is still the first record.
+        let store =
+            receipts_from_csv("\n\ncustomer,date,total_cents,items\r\n5,2013-01-02,99,1\r\n");
+        assert_eq!(store.unwrap().num_receipts(), 1);
+    }
+
+    #[test]
+    fn receipts_csv_is_pinned() {
+        let mut b = ReceiptStoreBuilder::new();
+        b.push_row(
+            CustomerId::new(u64::MAX),
+            d(1969, 12, 31),
+            Cents(-42),
+            &[ItemId::new(u32::MAX), ItemId::new(0)],
+        );
+        b.push_row(CustomerId::new(7), d(2012, 5, 10), Cents(0), &[]);
+        b.push_row(
+            CustomerId::new(7),
+            d(2012, 5, 3),
+            Cents(1250),
+            &[ItemId::new(17), ItemId::new(3), ItemId::new(17)],
+        );
+        assert_eq!(
+            receipts_to_csv(&b.build()),
+            "customer,date,total_cents,items\n\
+             7,2012-05-03,1250,3 17\n\
+             7,2012-05-10,0,\n\
+             18446744073709551615,1969-12-31,-42,0 4294967295\n"
+        );
     }
 
     fn sample_taxonomy() -> Taxonomy {

@@ -139,7 +139,7 @@ impl Query {
     pub fn materialize(&self, store: &ReceiptStore) -> ReceiptStore {
         let mut builder = ReceiptStoreBuilder::new();
         for r in self.scan(store) {
-            builder.push(r.to_owned());
+            builder.push_row(r.customer, r.date, r.total, r.items);
         }
         builder.build()
     }

@@ -6,7 +6,8 @@
 //! one binary search, and full scans touch only the columns they need.
 //!
 //! The store is immutable once built; [`ReceiptStoreBuilder`] accumulates
-//! receipts in any order and sorts on `build`.
+//! receipts in any order, straight into the same columns, and sorts on
+//! `build` unless they arrived in order.
 
 use crate::StoreError;
 use attrition_types::{Basket, Cents, CustomerId, Date, ItemId, Receipt};
@@ -170,9 +171,30 @@ impl ReceiptStore {
 }
 
 /// Accumulates receipts (in any order) and builds a sorted [`ReceiptStore`].
-#[derive(Debug, Default)]
+///
+/// The builder holds the store's own columns plus one flat item arena:
+/// a row is appended with [`push_row`](ReceiptStoreBuilder::push_row), or
+/// item by item with [`push_item`](ReceiptStoreBuilder::push_item) and
+/// sealed by [`finish_row`](ReceiptStoreBuilder::finish_row), which sorts
+/// and deduplicates the row's items in place. No per-receipt allocation
+/// happens on either path.
+#[derive(Debug)]
 pub struct ReceiptStoreBuilder {
-    receipts: Vec<Receipt>,
+    customers: Vec<CustomerId>,
+    dates: Vec<Date>,
+    totals: Vec<Cents>,
+    /// `basket_offsets[r]..basket_offsets[r+1]` indexes `items` for row
+    /// `r`; items past the last offset belong to the row being assembled.
+    basket_offsets: Vec<u32>,
+    items: Vec<ItemId>,
+    /// True while every row so far arrived in `(customer, date)` order.
+    in_order: bool,
+}
+
+impl Default for ReceiptStoreBuilder {
+    fn default() -> ReceiptStoreBuilder {
+        ReceiptStoreBuilder::with_capacity(0)
+    }
 }
 
 impl ReceiptStoreBuilder {
@@ -183,63 +205,154 @@ impl ReceiptStoreBuilder {
 
     /// Create a builder expecting roughly `n` receipts.
     pub fn with_capacity(n: usize) -> ReceiptStoreBuilder {
+        let mut basket_offsets = Vec::with_capacity(n + 1);
+        basket_offsets.push(0);
         ReceiptStoreBuilder {
-            receipts: Vec::with_capacity(n),
+            customers: Vec::with_capacity(n),
+            dates: Vec::with_capacity(n),
+            totals: Vec::with_capacity(n),
+            basket_offsets,
+            items: Vec::new(),
+            in_order: true,
         }
     }
 
     /// Add one receipt.
     pub fn push(&mut self, receipt: Receipt) -> &mut ReceiptStoreBuilder {
-        self.receipts.push(receipt);
+        self.push_row(
+            receipt.customer,
+            receipt.date,
+            receipt.total,
+            receipt.basket.items(),
+        )
+    }
+
+    /// Add one receipt from its fields; `items` may be unsorted and hold
+    /// duplicates.
+    pub fn push_row(
+        &mut self,
+        customer: CustomerId,
+        date: Date,
+        total: Cents,
+        items: &[ItemId],
+    ) -> &mut ReceiptStoreBuilder {
+        self.items.extend_from_slice(items);
+        self.finish_row(customer, date, total)
+    }
+
+    /// Append one item to the row being assembled.
+    #[inline]
+    pub fn push_item(&mut self, item: ItemId) {
+        self.items.push(item);
+    }
+
+    /// Drop the items of the row being assembled.
+    pub fn discard_row(&mut self) {
+        let start = *self.basket_offsets.last().expect("offsets start at 0") as usize;
+        self.items.truncate(start);
+    }
+
+    /// Seal the items pushed since the last row as one receipt: they are
+    /// sorted and deduplicated in place.
+    pub fn finish_row(
+        &mut self,
+        customer: CustomerId,
+        date: Date,
+        total: Cents,
+    ) -> &mut ReceiptStoreBuilder {
+        let start = *self.basket_offsets.last().expect("offsets start at 0") as usize;
+        let row = &mut self.items[start..];
+        if !row.windows(2).all(|w| w[0] < w[1]) {
+            if !row.windows(2).all(|w| w[0] <= w[1]) {
+                row.sort_unstable();
+            }
+            // Sorted, so a duplicate equals the item before it.
+            let mut kept = 1;
+            for i in 1..row.len() {
+                let item = row[i];
+                let fresh = item != row[i - 1];
+                row[kept] = item;
+                kept += usize::from(fresh);
+            }
+            self.items.truncate(start + kept);
+        }
+        if let (Some(&c), Some(&d)) = (self.customers.last(), self.dates.last()) {
+            self.in_order &= (c, d) <= (customer, date);
+        }
+        self.customers.push(customer);
+        self.dates.push(date);
+        self.totals.push(total);
+        let end = u32::try_from(self.items.len()).expect("item arena fits u32 offsets");
+        self.basket_offsets.push(end);
         self
     }
 
     /// Number of receipts accumulated so far.
     pub fn len(&self) -> usize {
-        self.receipts.len()
+        self.customers.len()
     }
 
     /// True when no receipts have been added.
     pub fn is_empty(&self) -> bool {
-        self.receipts.is_empty()
+        self.customers.is_empty()
     }
 
     /// Sort by `(customer, date)` and freeze into a store.
     ///
     /// Receipts of one customer on the same date keep their insertion
     /// order (stable sort) — the dataset has day-resolution timestamps, so
-    /// same-day trips are legitimate.
+    /// same-day trips are legitimate. Rows that arrived already in order
+    /// are taken as they are; items pushed after the last `finish_row`
+    /// are dropped.
     pub fn build(mut self) -> ReceiptStore {
-        self.receipts
-            .sort_by(|a, b| a.customer.cmp(&b.customer).then(a.date.cmp(&b.date)));
-        let n = self.receipts.len();
-        let mut store = ReceiptStore {
-            customers: Vec::with_capacity(n),
-            dates: Vec::with_capacity(n),
-            totals: Vec::with_capacity(n),
-            basket_offsets: Vec::with_capacity(n + 1),
-            items: Vec::new(),
-            customer_index: Vec::new(),
-        };
-        store.basket_offsets.push(0);
-        for r in &self.receipts {
-            store.customers.push(r.customer);
-            store.dates.push(r.date);
-            store.totals.push(r.total);
-            store.items.extend(r.basket.iter());
-            store.basket_offsets.push(store.items.len() as u32);
+        self.discard_row();
+        if !self.in_order {
+            self.sort_rows();
         }
-        // Build the customer index from the sorted customer column.
-        let mut row = 0u32;
-        while (row as usize) < store.customers.len() {
-            let id = store.customers[row as usize];
-            let start = row;
-            while (row as usize) < store.customers.len() && store.customers[row as usize] == id {
-                row += 1;
+        let mut customer_index = Vec::new();
+        let mut start = 0;
+        for row in 1..=self.customers.len() {
+            if row == self.customers.len() || self.customers[row] != self.customers[start] {
+                customer_index.push((self.customers[start], start as u32..row as u32));
+                start = row;
             }
-            store.customer_index.push((id, start..row));
         }
-        store
+        ReceiptStore {
+            customers: self.customers,
+            dates: self.dates,
+            totals: self.totals,
+            basket_offsets: self.basket_offsets,
+            items: self.items,
+            customer_index,
+        }
+    }
+
+    /// Permute every column into `(customer, date, insertion)` order.
+    fn sort_rows(&mut self) {
+        // One key per row; the row index as the last component makes the
+        // unstable sort return exactly the stable order.
+        let mut keys: Vec<u128> = (0..self.customers.len())
+            .map(|row| {
+                let date = (self.dates[row].days_since_epoch() as u32) ^ (1 << 31);
+                (self.customers[row].raw() as u128) << 64 | (date as u128) << 32 | row as u128
+            })
+            .collect();
+        keys.sort_unstable();
+        let order = keys.iter().map(|&key| key as u32 as usize);
+        let mut items = Vec::with_capacity(self.items.len());
+        let mut offsets = Vec::with_capacity(self.basket_offsets.len());
+        offsets.push(0);
+        for row in order.clone() {
+            let lo = self.basket_offsets[row] as usize;
+            let hi = self.basket_offsets[row + 1] as usize;
+            items.extend_from_slice(&self.items[lo..hi]);
+            offsets.push(items.len() as u32);
+        }
+        self.customers = order.clone().map(|row| self.customers[row]).collect();
+        self.dates = order.clone().map(|row| self.dates[row]).collect();
+        self.totals = order.map(|row| self.totals[row]).collect();
+        self.basket_offsets = offsets;
+        self.items = items;
     }
 }
 

@@ -8,7 +8,7 @@
 //! granularity. The granularity ablation compares both levels.
 
 use crate::{ReceiptStore, ReceiptStoreBuilder, StoreError};
-use attrition_types::{Basket, ItemId, Receipt, Taxonomy};
+use attrition_types::{ItemId, Taxonomy};
 
 /// Rewrite every basket of `store`, replacing each product id by its
 /// segment id (re-encoded as an [`ItemId`]). Duplicate segments within a
@@ -23,17 +23,10 @@ pub fn project_to_segments(
 ) -> Result<ReceiptStore, StoreError> {
     let mut builder = ReceiptStoreBuilder::with_capacity(store.num_receipts());
     for r in store.receipts() {
-        let mut seg_items = Vec::with_capacity(r.items.len());
         for &item in r.items {
-            let seg = taxonomy.segment_of(item)?;
-            seg_items.push(ItemId::new(seg.raw()));
+            builder.push_item(ItemId::new(taxonomy.segment_of(item)?.raw()));
         }
-        builder.push(Receipt::new(
-            r.customer,
-            r.date,
-            Basket::new(seg_items),
-            r.total,
-        ));
+        builder.finish_row(r.customer, r.date, r.total);
     }
     Ok(builder.build())
 }
@@ -41,7 +34,7 @@ pub fn project_to_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attrition_types::{Cents, CustomerId, Date, TaxonomyBuilder};
+    use attrition_types::{Basket, Cents, CustomerId, Date, Receipt, TaxonomyBuilder};
 
     fn d(y: i32, m: u32, day: u32) -> Date {
         Date::from_ymd(y, m, day).unwrap()

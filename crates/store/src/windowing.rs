@@ -161,7 +161,10 @@ impl CustomerWindows {
     /// Build from a chronological receipt iterator.
     ///
     /// `n_windows` fixes the horizon; receipts outside `[origin,
-    /// window_end(n_windows-1))` are ignored.
+    /// window_end(n_windows-1))` are ignored. A receipt's window is worked
+    /// out only when it leaves the bounds of the previous receipt's
+    /// window, and each window's item set is a merge of the receipts'
+    /// sorted items.
     pub fn from_receipts<'a>(
         customer: CustomerId,
         receipts: impl Iterator<Item = crate::ReceiptRef<'a>>,
@@ -169,26 +172,48 @@ impl CustomerWindows {
         n_windows: u32,
     ) -> CustomerWindows {
         let n = n_windows as usize;
-        let mut item_sets: Vec<Vec<ItemId>> = vec![Vec::new(); n];
+        let mut baskets = vec![Basket::empty(); n];
         let mut trips = vec![0u32; n];
         let mut spend = vec![Cents::ZERO; n];
         // Last trip date per window (then made cumulative below).
         let mut last_in_window: Vec<Option<Date>> = vec![None; n];
+        // The window being filled, its bounds, and its item set so far.
+        let mut open: Option<(usize, Date, Date)> = None;
+        let mut union: Vec<ItemId> = Vec::new();
+        let mut merged: Vec<ItemId> = Vec::new();
         for r in receipts {
-            let Some(k) = spec.window_of(r.date) else {
-                continue;
+            let k = match open {
+                Some((k, start, end)) if start <= r.date && r.date < end => k,
+                _ => {
+                    let Some(k) = spec.window_of(r.date) else {
+                        continue;
+                    };
+                    if k.index() >= n {
+                        continue;
+                    }
+                    if let Some((prev, _, _)) = open {
+                        baskets[prev] = Basket::new(union.clone());
+                    }
+                    union.clear();
+                    union.extend_from_slice(baskets[k.index()].items());
+                    open = Some((
+                        k.index(),
+                        spec.window_start(k.raw()),
+                        spec.window_end(k.raw()),
+                    ));
+                    k.index()
+                }
             };
-            let k = k.index();
-            if k >= n {
-                continue;
-            }
-            item_sets[k].extend_from_slice(r.items);
+            merge_sorted(&mut union, r.items, &mut merged);
             trips[k] += 1;
             spend[k] += r.total;
             last_in_window[k] = Some(match last_in_window[k] {
                 Some(d) => d.max(r.date),
                 None => r.date,
             });
+        }
+        if let Some((k, _, _)) = open {
+            baskets[k] = Basket::new(union);
         }
         let mut last_purchase = vec![None; n];
         let mut running: Option<Date> = None;
@@ -200,13 +225,33 @@ impl CustomerWindows {
         }
         CustomerWindows {
             customer,
-            baskets: item_sets.into_iter().map(Basket::new).collect(),
+            baskets,
             trips,
             spend,
             last_purchase,
             spec,
         }
     }
+}
+
+/// `union ← union ∪ items` for sorted, distinct slices; `scratch` is a
+/// reusable buffer.
+fn merge_sorted(union: &mut Vec<ItemId>, items: &[ItemId], scratch: &mut Vec<ItemId>) {
+    if union.is_empty() {
+        union.extend_from_slice(items);
+        return;
+    }
+    scratch.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < union.len() && j < items.len() {
+        let (a, b) = (union[i], items[j]);
+        scratch.push(a.min(b));
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
+    }
+    scratch.extend_from_slice(&union[i..]);
+    scratch.extend_from_slice(&items[j..]);
+    std::mem::swap(union, scratch);
 }
 
 /// How to anchor the window grid per customer.

@@ -64,13 +64,21 @@ pub fn write_record(fields: &[&str]) -> String {
     out
 }
 
+/// Iterate over the non-empty lines of a CSV document with their 1-based
+/// physical line numbers (blank lines are skipped but still counted; a
+/// CRLF ending is stripped).
+pub fn document_lines(text: &str) -> impl Iterator<Item = (usize, &str)> + '_ {
+    text.lines()
+        .map(|l| l.strip_suffix('\r').unwrap_or(l))
+        .enumerate()
+        .filter(|(_, l)| !l.is_empty())
+        .map(|(idx, l)| (idx + 1, l))
+}
+
 /// Iterate over the records of a CSV document (handles CRLF, skips the
 /// final empty line if the document ends with a newline).
 pub fn parse_document(text: &str) -> impl Iterator<Item = Option<Vec<String>>> + '_ {
-    text.lines()
-        .map(|l| l.strip_suffix('\r').unwrap_or(l))
-        .filter(|l| !l.is_empty())
-        .map(parse_record)
+    document_lines(text).map(|(_, l)| parse_record(l))
 }
 
 /// A growable CSV document writer.
@@ -156,6 +164,12 @@ mod tests {
         let rows: Vec<Vec<String>> = parse_document(&doc).map(|r| r.unwrap()).collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], vec!["v,1".to_owned(), "v\"2".into()]);
+    }
+
+    #[test]
+    fn document_lines_count_blank_lines() {
+        let lines: Vec<(usize, &str)> = document_lines("a\r\n\r\n\nb\n\nc").collect();
+        assert_eq!(lines, vec![(1, "a"), (4, "b"), (6, "c")]);
     }
 
     #[test]

@@ -709,12 +709,16 @@ fn serve_durable(
 
     attrition_serve::install_sigint_handler();
     // A durable server is also a replication primary: wrap the engine
-    // so `REPL` fetches are answered from its own WAL directory.
-    let engine = Arc::new(attrition_serve::Engine::open(
+    // so `REPL` fetches are answered from its own WAL directory. The WAL
+    // resumes where recovery found the log's end, without reading the
+    // log again.
+    let engine = Arc::new(attrition_serve::Engine::open_in(
         ShardedMonitor::from_monitor(recovered, shards),
         config.snapshot_path.clone(),
         config.durability.as_ref(),
-        stats.next_seq,
+        stats.log_end(),
+        attrition_serve::RealStorage::shared(),
+        Arc::new(attrition_serve::RealClock),
     )?);
     let primary = Arc::new(PrimaryService::open(engine, &wal_dir)?);
     let handle = attrition_serve::start_service(config, primary)?;

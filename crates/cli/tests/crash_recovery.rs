@@ -38,6 +38,17 @@ struct Server {
     stdout: BufReader<std::process::ChildStdout>,
 }
 
+/// A failing assertion must not leave the process running (it holds a
+/// port and a WAL directory the next run reuses): kill and reap it.
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// Spawn `attrition serve` on the WAL directory and wait for it to bind.
 fn spawn_serve(wal_dir: &Path, origin: &str) -> Server {
     let mut child = Command::new(env!("CARGO_BIN_EXE_attrition"))

@@ -35,6 +35,17 @@ struct Server {
     stdout: BufReader<std::process::ChildStdout>,
 }
 
+/// A failing assertion must not leave the process running (it holds a
+/// port and a WAL directory the next run reuses): kill and reap it.
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// Spawn one `attrition` subcommand and wait for its two-line start
 /// handshake: `recovery: …` on stderr, then `listening on …` on stdout.
 fn spawn_node(args: &[&str]) -> Server {

@@ -4,13 +4,14 @@
 //! [`ReplicationLog`] is a *read-only* view over the same WAL directory
 //! the engine appends to. It never holds the durability lock: the WAL's
 //! CRC framing makes a concurrent read safe by construction — a frame
-//! that has not fully landed fails its checksum and the scan stops at
-//! the last valid boundary, exactly the torn-tail rule recovery relies
-//! on. The caller additionally caps every fetch at the engine's durable
-//! floor ([`Engine::wal_synced_seq`]), so a record is shipped only once
-//! it would also survive a primary crash — shipping an unsynced record
-//! and then crashing would let the primary reassign that LSN to a
-//! *different* operation, silently diverging the replica.
+//! that has not fully landed fails its checksum and the walk stops at
+//! the last valid boundary, exactly the rule recovery relies on. Like
+//! recovery, it walks the log's frames in place and allocates only the
+//! records it ships. The caller additionally caps every fetch at the
+//! engine's durable floor ([`Engine::wal_synced_seq`]), so a record is
+//! shipped only once it would also survive a primary crash — shipping
+//! an unsynced record and then crashing would let the primary reassign
+//! that LSN to a *different* operation, silently diverging the replica.
 //!
 //! When `after + 1` is no longer in the log (a checkpoint truncated
 //! it), the newest readable checkpoint is shipped instead; by the
@@ -21,7 +22,7 @@
 //! [`Engine::wal_synced_seq`]: attrition_serve::Engine::wal_synced_seq
 
 use attrition_serve::checkpoint::{self, CheckpointFormat};
-use attrition_serve::wal::{read_records_in, WalRecord, WAL_FILE};
+use attrition_serve::wal::{read_log, Frames, WalRecord, WAL_FILE};
 use attrition_serve::Storage;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -74,13 +75,15 @@ impl ReplicationLog {
         if after >= floor {
             return Ok(Shipment::Records(Vec::new()));
         }
-        let scan = read_records_in(&*self.storage, &self.dir.join(WAL_FILE))?;
-        let shippable: Vec<WalRecord> = scan
-            .records
-            .into_iter()
-            .skip_while(|r| r.seq <= after)
-            .take_while(|r| r.seq <= floor)
+        let bytes = read_log(&*self.storage, &self.dir.join(WAL_FILE))?;
+        let shippable: Vec<WalRecord> = Frames::new(&bytes)
+            .skip_while(|&(seq, _)| seq <= after)
+            .take_while(|&(seq, _)| seq <= floor)
             .take(max)
+            .map(|(seq, op)| WalRecord {
+                seq,
+                op: op.to_owned(),
+            })
             .collect();
         match shippable.first() {
             Some(first) if first.seq == after + 1 => Ok(Shipment::Records(shippable)),
@@ -262,8 +265,8 @@ mod tests {
         fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
             self.inner.write(path, bytes)
         }
-        fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.inner.append(path, bytes)
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.write_at(path, offset, bytes)
         }
         fn sync(&self, path: &Path) -> std::io::Result<()> {
             self.inner.sync(path)

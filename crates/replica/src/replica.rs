@@ -9,7 +9,10 @@
 //! applied in order), the same out-of-order ingests are rejected, and
 //! the same checkpoints fire. After every record the replica asserts
 //! its log landed exactly at the record's sequence number; a mismatch
-//! is a hard error, never papered over.
+//! is a hard error, never papered over. A record that reached the log
+//! but failed in the WAL afterwards (a failed fsync) was answered `ERR`
+//! and not applied: the replica then rebuilds its engine from its own
+//! log, so its state is again the fold of that log.
 //!
 //! ## Idempotency and fencing
 //!
@@ -51,7 +54,7 @@ use crate::primary::{answer_rejoin, answer_repl};
 use crate::wire::FetchRequest;
 use crate::wire::FetchResponse;
 use attrition_serve::checkpoint::{self, CheckpointFormat};
-use attrition_serve::engine::ShutdownReport;
+use attrition_serve::engine::{ShutdownReport, WAL_FAILURE};
 use attrition_serve::recovery::{recover_in, Fallback, RecoveryError, RecoveryStats};
 use attrition_serve::wal::WAL_FILE;
 use attrition_serve::{
@@ -254,7 +257,7 @@ impl ReplicaEngine {
                             r.seq
                         ));
                     }
-                    let (_verb, _response) = inner.respond(&r.op);
+                    let (_verb, response) = inner.respond(&r.op);
                     let now = inner.wal_last_seq();
                     if now != r.seq {
                         // The op did not log exactly one record — a
@@ -262,6 +265,24 @@ impl ReplicaEngine {
                         // failure. Divergence, not something to skip.
                         return Err(format!(
                             "replica log misaligned: record {} left the log at {now}",
+                            r.seq
+                        ));
+                    }
+                    if response.starts_with(WAL_FAILURE) {
+                        // Logged but not applied (the sync after the
+                        // append failed). Counting it applied would leave
+                        // the replica one record behind its own log for
+                        // good: the next fetch starts after it. Rebuild
+                        // from the log instead, which replays it.
+                        let mut guard = self
+                            .inner
+                            .write()
+                            .unwrap_or_else(|poison| poison.into_inner());
+                        self.reload(&mut guard)
+                            .map_err(|e| format!("rebuild after a wal failure failed: {e}"))?;
+                        return Err(format!(
+                            "record {} failed in the replica's wal ({response}); \
+                             state rebuilt from the local log",
                             r.seq
                         ));
                     }
@@ -391,13 +412,7 @@ impl ReplicaEngine {
                 attrition_obs::counter("serve.repl.divergent_suffix_kept").inc();
             } else {
                 self.discard_local_state()?;
-                let (engine, _stats) = recovered_engine(&self.config, &self.storage, &self.clock)
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                self.base_requests
-                    .fetch_add(guard.requests(), Ordering::Relaxed);
-                self.base_errors
-                    .fetch_add(guard.errors(), Ordering::Relaxed);
-                *guard = engine;
+                self.reload(&mut guard)?;
                 discarded = true;
                 attrition_obs::counter("serve.repl.divergent_records_discarded").add(divergent);
                 attrition_obs::gauge("serve.repl.applied_seq").set(0);
@@ -476,6 +491,12 @@ impl ReplicaEngine {
                 checkpoint::write_binary_in(&*self.storage, &self.config.wal_dir, lsn, body)?;
             }
         }
+        self.reload(&mut guard)
+    }
+
+    /// Replace the engine in `guard` with one recovered from the local
+    /// WAL directory, carrying the old engine's request counters over.
+    fn reload(&self, guard: &mut Arc<Engine>) -> std::io::Result<()> {
         let (engine, _stats) = recovered_engine(&self.config, &self.storage, &self.clock)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         self.base_requests
@@ -529,7 +550,7 @@ fn recovered_engine(
         sharded,
         None,
         Some(&config.durability),
-        stats.next_seq,
+        stats.log_end(),
         Arc::clone(storage),
         Arc::clone(clock),
     )?;

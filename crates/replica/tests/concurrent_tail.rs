@@ -1,7 +1,7 @@
 //! The shipper against a torn, truncating tail — concurrently.
 //!
-//! The primary's WAL is appended, torn (a crash mid-frame), scanned and
-//! `truncate_to_valid`'d in a loop while a second thread keeps fetching
+//! The primary's WAL is appended, torn at its end (a crash mid-frame),
+//! scanned and `truncate_to_valid`'d in a loop while a second thread keeps fetching
 //! from the same directory through [`ReplicationLog`]. The shipper
 //! holds no lock against the writer; its safety rests entirely on the
 //! CRC framing and the durable-floor cap, so this test demands:
@@ -14,7 +14,7 @@
 use attrition_replica::{ReplicationLog, Shipment};
 use attrition_serve::wal::{read_records, truncate_to_valid, SyncPolicy, Wal, WAL_FILE};
 use attrition_serve::RealStorage;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,14 +106,18 @@ fn concurrent_truncate_to_valid_never_leaks_torn_bytes_to_the_shipper() {
             floor.store(next_seq, Ordering::SeqCst);
             next_seq += 1;
         }
+        let log_end = wal.end().offset;
         drop(wal);
 
-        // Tear the tail: a partial frame whose header promises more
-        // payload than follows, plus bytes that must never decode.
+        // Tear the tail at the log's end (over the zero extent, where
+        // the next frame would have gone): a partial frame whose header
+        // promises more payload than follows, plus bytes that must
+        // never decode.
         let mut file = std::fs::OpenOptions::new()
-            .append(true)
+            .write(true)
             .open(&wal_path)
             .unwrap();
+        file.seek(SeekFrom::Start(log_end)).unwrap();
         let torn_len = 9 + (cycle % 7) as usize;
         let mut garbage = Vec::with_capacity(8 + torn_len);
         garbage.extend_from_slice(&(200u32 + cycle as u32).to_le_bytes()); // length
@@ -124,9 +128,13 @@ fn concurrent_truncate_to_valid_never_leaks_torn_bytes_to_the_shipper() {
         drop(file);
 
         // Recovery's contract: scan stops at the last valid frame and
-        // the torn suffix is chopped before the next generation appends.
+        // the torn suffix — the garbage and the extent past it — is
+        // chopped before the next generation appends.
         let scan = read_records(&wal_path).unwrap();
-        assert_eq!(scan.torn_bytes, garbage.len() as u64, "cycle {cycle}");
+        let file_len = std::fs::metadata(&wal_path).unwrap().len();
+        assert_eq!(scan.valid_len, log_end, "cycle {cycle}");
+        assert!(file_len >= log_end + garbage.len() as u64, "cycle {cycle}");
+        assert_eq!(scan.torn_bytes, file_len - log_end, "cycle {cycle}");
         assert_eq!(scan.records.last().unwrap().seq, next_seq - 1);
         truncate_to_valid(&wal_path, scan.valid_len).unwrap();
     }

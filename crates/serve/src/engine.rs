@@ -23,7 +23,7 @@ use crate::protocol::{
     write_ingest_line, BatchLines, ParseError, ParsedRequest, Request,
 };
 use crate::shard::ShardedMonitor;
-use crate::wal::{SyncPolicy, Wal, WAL_FILE};
+use crate::wal::{self, LogEnd, SyncPolicy, Wal, WAL_FILE};
 use attrition_core::WindowClosed;
 use attrition_types::ItemId;
 use std::fmt::Write as _;
@@ -31,6 +31,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The prefix of every answer to a mutation that failed in the WAL
+/// (`ERR wal append failed: …`, `ERR wal commit failed: …`): the request
+/// was not applied, though its record may be in the log — after a failed
+/// sync it is.
+pub const WAL_FAILURE: &str = "ERR wal ";
 
 /// Configuration of the durability subsystem (WAL + checkpoints).
 #[derive(Debug, Clone)]
@@ -250,41 +256,54 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Open an engine over the real filesystem and clock.
+    /// Open an engine over the real filesystem and clock. `next_seq`
+    /// is the LSN the next logged request gets; the WAL's end is found
+    /// by scanning the log. After [`recover`](crate::recovery::recover),
+    /// prefer [`open_in`](Engine::open_in) with
+    /// [`RecoveryStats::log_end`](crate::recovery::RecoveryStats::log_end),
+    /// which does not read the log a second time.
     pub fn open(
         monitor: ShardedMonitor,
         snapshot_path: Option<PathBuf>,
         durability: Option<&DurabilityConfig>,
         next_seq: u64,
     ) -> std::io::Result<Engine> {
+        let storage = RealStorage::shared();
+        let offset = match durability {
+            Some(dcfg) => wal::scan_end(&*storage, &dcfg.wal_dir.join(WAL_FILE))?,
+            None => 0,
+        };
         Engine::open_in(
             monitor,
             snapshot_path,
             durability,
-            next_seq,
-            RealStorage::shared(),
+            LogEnd { next_seq, offset },
+            storage,
             Arc::new(RealClock),
         )
     }
 
-    /// [`open`](Engine::open) against explicit environment seams — what
-    /// the simulator calls with its in-memory storage and logical clock.
+    /// [`open`](Engine::open) against explicit environment seams and a
+    /// known WAL end — what recovery hands over
+    /// ([`RecoveryStats::log_end`](crate::recovery::RecoveryStats::log_end)),
+    /// or [`LogEnd::EMPTY`] for a fresh directory. The simulator calls
+    /// it with its in-memory storage and logical clock.
     pub fn open_in(
         monitor: ShardedMonitor,
         snapshot_path: Option<PathBuf>,
         durability: Option<&DurabilityConfig>,
-        next_seq: u64,
+        wal_end: LogEnd,
         storage: Arc<dyn Storage>,
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<Engine> {
         let durable = match durability {
             Some(dcfg) => {
                 storage.create_dir_all(&dcfg.wal_dir)?;
-                let wal = Wal::open_in(
+                let wal = Wal::open_at(
                     Arc::clone(&storage),
                     &dcfg.wal_dir.join(WAL_FILE),
                     dcfg.sync_policy,
-                    next_seq,
+                    wal_end,
                     dcfg.fault_plan.clone().unwrap_or_default(),
                 )?;
                 Some(Mutex::new(Durable {
@@ -403,7 +422,6 @@ impl Engine {
         };
         let mut d = lock_durable(durable);
         if let Err(e) = d.wal.append(op) {
-            attrition_obs::counter("serve.wal.errors").inc();
             return Err(format!("wal append failed: {e}"));
         }
         let result = apply();
@@ -579,15 +597,11 @@ impl Engine {
                             outcome.logged = true;
                             logged += 1;
                         }
-                        Err(e) => {
-                            attrition_obs::counter("serve.wal.errors").inc();
-                            *parse = Err(format!("wal append failed: {e}"));
-                        }
+                        Err(e) => *parse = Err(format!("wal append failed: {e}")),
                     }
                 }
                 // One group commit covering every append above.
                 if let Err(e) = d.wal.commit() {
-                    attrition_obs::counter("serve.wal.errors").inc();
                     for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter()) {
                         if outcome.logged {
                             // In the file but not durable: recovery may

@@ -125,10 +125,12 @@ pub trait Storage: Send + Sync {
     /// with [`rename`](Storage::rename) for atomic replacement).
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Append `bytes` to `path`, creating it if missing. May write a
-    /// prefix and then fail (a torn write) — callers must roll back or
-    /// tolerate it.
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Write `bytes` at byte `offset` of `path`, creating the file if
+    /// missing and extending it (zero-filling any gap) when the write
+    /// ends past its current length. Bytes outside the range are left
+    /// as they are. May write a prefix and then fail (a torn write) —
+    /// callers must roll back or tolerate it.
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()>;
 
     /// Make `path`'s current content durable (`fsync`).
     fn sync(&self, path: &Path) -> io::Result<()>;
@@ -157,14 +159,17 @@ pub trait Storage: Send + Sync {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
 }
 
-/// [`Storage`] over `std::fs`. Append handles are cached per path so a
-/// hot WAL does not reopen its log on every record; the cache is
-/// invalidated by [`set_len`](Storage::set_len)/[`rename`](Storage::rename)
-/// only where required (append-mode writes always land at the current
-/// end of file, so truncation does not stale the handle).
+/// [`Storage`] over `std::fs`. Write handles are cached per path so a
+/// hot WAL does not reopen its log on every record. The handles are
+/// opened *without* `O_APPEND`: Linux `pwrite` on an append-mode
+/// descriptor ignores the offset, and every write here is positioned,
+/// so truncation never stales a handle. Only
+/// [`write`](Storage::write), [`rename`](Storage::rename) and
+/// [`remove`](Storage::remove) drop one, since they may swap the file
+/// under the path.
 #[derive(Debug, Default)]
 pub struct RealStorage {
-    appenders: Mutex<std::collections::HashMap<PathBuf, std::fs::File>>,
+    handles: Mutex<std::collections::HashMap<PathBuf, std::fs::File>>,
 }
 
 impl RealStorage {
@@ -182,24 +187,24 @@ impl RealStorage {
             .clone()
     }
 
-    fn with_appender<R>(
+    fn with_handle<R>(
         &self,
         path: &Path,
-        op: impl FnOnce(&mut std::fs::File) -> io::Result<R>,
+        op: impl FnOnce(&std::fs::File) -> io::Result<R>,
     ) -> io::Result<R> {
         let mut cache = self
-            .appenders
+            .handles
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
         if !cache.contains_key(path) {
             let file = std::fs::OpenOptions::new()
                 .create(true)
-                .append(true)
+                .write(true)
+                .truncate(false)
                 .open(path)?;
             cache.insert(path.to_owned(), file);
         }
-        let file = cache.get_mut(path).expect("just inserted");
-        let result = op(file);
+        let result = op(cache.get(path).expect("just inserted"));
         if result.is_err() {
             // A failed handle is not trustworthy; reopen next time.
             cache.remove(path);
@@ -207,12 +212,26 @@ impl RealStorage {
         result
     }
 
-    fn drop_appender(&self, path: &Path) {
-        self.appenders
+    fn drop_handle(&self, path: &Path) {
+        self.handles
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
             .remove(path);
     }
+}
+
+/// One positioned write of the whole buffer (`pwrite` on unix).
+#[cfg(unix)]
+fn write_all_at(file: &std::fs::File, offset: u64, bytes: &[u8]) -> io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+}
+
+/// One positioned write of the whole buffer (seek, then write).
+#[cfg(not(unix))]
+fn write_all_at(mut file: &std::fs::File, offset: u64, bytes: &[u8]) -> io::Result<()> {
+    use std::io::{Seek as _, Write as _};
+    file.seek(io::SeekFrom::Start(offset))?;
+    file.write_all(bytes)
 }
 
 impl Storage for RealStorage {
@@ -221,22 +240,21 @@ impl Storage for RealStorage {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.drop_appender(path);
+        self.drop_handle(path);
         std::fs::write(path, bytes)
     }
 
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        self.with_appender(path, |file| file.write_all(bytes))
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        self.with_handle(path, |file| write_all_at(file, offset, bytes))
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        self.with_appender(path, |file| file.sync_data())
+        self.with_handle(path, |file| file.sync_data())
     }
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<u64> {
-        // Not via the append handle: set_len is also used on files
-        // nobody appends to (torn-tail truncation during recovery).
+        // Not via the cached handle: set_len is also used on files
+        // nothing writes through it (torn-tail truncation at recovery).
         let file = std::fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(len)?;
         file.sync_all()?;
@@ -248,13 +266,13 @@ impl Storage for RealStorage {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.drop_appender(from);
-        self.drop_appender(to);
+        self.drop_handle(from);
+        self.drop_handle(to);
         std::fs::rename(from, to)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        self.drop_appender(path);
+        self.drop_handle(path);
         std::fs::remove_file(path)
     }
 
@@ -321,16 +339,21 @@ mod tests {
         let storage = RealStorage::new();
         storage.create_dir_all(&dir).unwrap();
         let path = dir.join("a.log");
-        storage.append(&path, b"hello ").unwrap();
-        storage.append(&path, b"world").unwrap();
+        storage.write_at(&path, 0, b"hello ").unwrap();
+        storage.write_at(&path, 6, b"world").unwrap();
         storage.sync(&path).unwrap();
         assert_eq!(storage.read(&path).unwrap(), b"hello world");
         assert_eq!(storage.len(&path).unwrap(), 11);
+        // Positioned writes overwrite in place and never move the end
+        // they do not reach.
+        storage.write_at(&path, 0, b"J").unwrap();
+        assert_eq!(storage.read(&path).unwrap(), b"Jello world");
         storage.set_len(&path, 5).unwrap();
-        assert_eq!(storage.read(&path).unwrap(), b"hello");
-        // Append after truncation lands at the new end.
-        storage.append(&path, b"!").unwrap();
-        assert_eq!(storage.read(&path).unwrap(), b"hello!");
+        assert_eq!(storage.read(&path).unwrap(), b"Jello");
+        // The cached handle survives truncation, and a write past the
+        // end zero-fills the gap.
+        storage.write_at(&path, 7, b"!").unwrap();
+        assert_eq!(storage.read(&path).unwrap(), b"Jello\0\0!");
         storage.write(&dir.join("b.tmp"), b"x").unwrap();
         storage
             .rename(&dir.join("b.tmp"), &dir.join("b.ckpt"))

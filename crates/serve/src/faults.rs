@@ -11,9 +11,13 @@
 //! - **crash after the Nth append** — the log freezes exactly as a
 //!   `SIGKILL` would leave it (every later append, sync and checkpoint
 //!   fails), so a test can drop the server and recover from the files;
-//! - **tear the tail at the crash** — additionally chops `torn_tail_bytes`
-//!   off the end of the file, simulating a torn final write that the
-//!   CRC framing must detect and truncate during recovery.
+//! - **tear the tail at the crash** — additionally cuts the file
+//!   `torn_tail_bytes` short of the log's logical end, simulating a torn
+//!   final frame that the CRC framing must detect and truncate during
+//!   recovery;
+//! - **fail the sync of sequence number N** — the first fsync that would
+//!   make record N durable returns an injected error, leaving the record
+//!   in the file unsynced, as a real failed fsync does.
 //!
 //! The plan lives in the production types rather than behind a `cfg`
 //! gate so integration tests (and future chaos tooling) can drive it
@@ -21,7 +25,7 @@
 //!
 //! ## Seed-driven schedules
 //!
-//! Beyond the three deterministic one-shots above, a plan carries a
+//! Beyond the deterministic one-shots above, a plan carries a
 //! `seed` and a set of per-mille *rates* that turn it into a stochastic
 //! schedule: every consumer (the WAL for disk faults, the simulator's
 //! transport for network faults, the simulator's driver for
@@ -48,9 +52,15 @@ pub struct FaultPlan {
     /// the WAL enters a crashed state where every subsequent append,
     /// sync and checkpoint returns an error.
     pub crash_after_appends: Option<u64>,
-    /// At the simulated crash, truncate this many bytes off the end of
-    /// the log file — a torn final write for recovery to detect.
+    /// At the simulated crash, cut the file this many bytes short of
+    /// the log's logical end (the end of its last frame, not the zero
+    /// extent past it) — a torn final frame for recovery to detect.
     pub torn_tail_bytes: u64,
+    /// Fail the first fsync attempted while this sequence number is
+    /// appended but not yet durable, with an injected error and nothing
+    /// synced. Fires once per WAL; a WAL reopened past this sequence
+    /// number never fires it.
+    pub fail_sync_seq: Option<u64>,
     /// Seed of the stochastic schedule below (ignored when every rate
     /// is zero).
     pub seed: u64,
@@ -108,6 +118,14 @@ impl FaultPlan {
         FaultPlan {
             crash_after_appends: Some(n),
             torn_tail_bytes: bytes,
+            ..FaultPlan::default()
+        }
+    }
+
+    /// Fail the fsync that would first make record `seq` durable.
+    pub fn fail_sync_seq(seq: u64) -> FaultPlan {
+        FaultPlan {
+            fail_sync_seq: Some(seq),
             ..FaultPlan::default()
         }
     }

@@ -80,4 +80,4 @@ pub use server::{
     ServerConfig, ServerHandle, ServerSummary, Service,
 };
 pub use shard::{OutOfOrder, ShardedMonitor};
-pub use wal::SyncPolicy;
+pub use wal::{LogEnd, SyncPolicy};

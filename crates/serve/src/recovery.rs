@@ -8,15 +8,21 @@
 //!    torn checkpoints are *skipped*, not fatal — an older checkpoint
 //!    plus a longer replay reaches the same state, because the WAL is
 //!    only truncated after a checkpoint is durably renamed in.
-//! 2. **Replay.** Decode `wal.log` and re-apply every record with
-//!    `seq > checkpoint LSN` in log order. Records at or below the LSN
-//!    are already folded into the checkpoint and are skipped by their
-//!    sequence number — replay is idempotent, so a crash between
-//!    checkpoint rename and WAL truncation double-writes nothing.
-//! 3. **Torn tail.** A partial or corrupt final frame (the write the
-//!    crash interrupted) is detected by the CRC framing, truncated off
-//!    the file, and reported. Everything before it was acked and is
-//!    kept; the torn record was never acked, so dropping it is correct.
+//! 2. **Replay.** Walk `wal.log`'s frames in place and re-apply every
+//!    record with `seq > checkpoint LSN` in log order. Records at or
+//!    below the LSN are already folded into the checkpoint and are
+//!    skipped by their sequence number — replay is idempotent, so a
+//!    crash between checkpoint rename and WAL truncation double-writes
+//!    nothing. Each op parses into one reused item arena and applies
+//!    through `ingest_sorted`: nothing is allocated per record.
+//! 3. **Where the log ends.** Zeros after the last valid frame are the
+//!    log's preallocated extent, a clean end. Anything else there — a
+//!    partial or corrupt frame, the write the crash interrupted — is
+//!    detected by the CRC framing, truncated off the file, and reported.
+//!    Everything before it was acked and is kept; the torn record was
+//!    never acked, so dropping it is correct. The end of the last valid
+//!    frame is handed to the reopened WAL ([`RecoveryStats::log_end`]),
+//!    which resumes there without reading the log again.
 //!
 //! The result is bit-identical to the state of an uncrashed server that
 //! processed exactly the acknowledged requests (proven by the crash
@@ -24,11 +30,11 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::env::{RealStorage, Storage};
-use crate::protocol::Request;
-use crate::wal::{self, WAL_FILE};
+use crate::protocol::{ParsedRequest, Request};
+use crate::wal::{self, Frames, LogEnd, WAL_FILE};
 use attrition_core::{StabilityMonitor, StabilityParams};
 use attrition_store::WindowSpec;
-use attrition_types::Basket;
+use attrition_types::ItemId;
 use std::path::Path;
 
 /// Grid configuration used when no checkpoint exists yet (first boot):
@@ -66,8 +72,23 @@ pub struct RecoveryStats {
     pub torn_bytes: u64,
     /// The sequence number the reopened WAL continues from.
     pub next_seq: u64,
+    /// Byte offset of the WAL's logical end (the end of its last valid
+    /// frame): where the reopened WAL writes next.
+    pub wal_end: u64,
     /// Customers tracked after recovery.
     pub customers: usize,
+}
+
+impl RecoveryStats {
+    /// Where the reopened WAL continues — hand it to
+    /// [`Engine::open_in`](crate::engine::Engine::open_in) so the log is
+    /// not read a second time.
+    pub fn log_end(&self) -> LogEnd {
+        LogEnd {
+            next_seq: self.next_seq,
+            offset: self.wal_end,
+        }
+    }
 }
 
 impl std::fmt::Display for RecoveryStats {
@@ -234,13 +255,10 @@ pub fn recover_in(
     };
     let floor = checkpoint_lsn.unwrap_or(0);
 
-    // Replay the log above the checkpoint, truncating a torn tail.
+    // Replay the log above the checkpoint in place, then cut a torn
+    // tail off at the end of the last valid frame.
     let wal_path = dir.join(WAL_FILE);
-    let scan = wal::read_records_in(storage, &wal_path)?;
-    if scan.torn_bytes > 0 {
-        wal::truncate_to_valid_in(storage, &wal_path, scan.valid_len)?;
-        attrition_obs::counter("serve.recovery.torn_bytes").add(scan.torn_bytes);
-    }
+    let bytes = wal::read_log(storage, &wal_path)?;
     let mut stats = RecoveryStats {
         checkpoint_lsn,
         corrupt_checkpoints,
@@ -248,49 +266,64 @@ pub fn recover_in(
         replayed: 0,
         already_applied: 0,
         out_of_order: 0,
-        torn_bytes: scan.torn_bytes,
+        torn_bytes: 0,
         next_seq: floor + 1,
+        wal_end: 0,
         customers: 0,
     };
-    for record in scan.records {
-        stats.next_seq = stats.next_seq.max(record.seq + 1);
-        if record.seq <= floor {
+    let mut items: Vec<ItemId> = Vec::new();
+    let mut frames = Frames::new(&bytes);
+    for (seq, op) in frames.by_ref() {
+        stats.next_seq = stats.next_seq.max(seq + 1);
+        if seq <= floor {
             stats.already_applied += 1;
             continue;
         }
-        match Request::parse(&record.op) {
-            Ok(Request::Ingest(customer, date, items)) => {
+        items.clear();
+        let request =
+            Request::parse_into(op, &mut items).map_err(|e| RecoveryError::BadRecord {
+                seq,
+                reason: e.to_string(),
+            })?;
+        match request {
+            ParsedRequest::Ingest(customer, date, _) => {
                 // Mirror the live server's out-of-order rejection
                 // (`ShardedMonitor::ingest`): a record the server
                 // answered `ERR` to must not mutate state on replay.
-                let rejected = match (monitor.spec().window_of(date), monitor.preview(customer)) {
-                    (Some(window), Some(preview)) => window.raw() < preview.window.raw(),
+                let rejected = match (
+                    monitor.spec().window_of(date),
+                    monitor.current_window(customer),
+                ) {
+                    (Some(window), Some(current)) => window.raw() < current,
                     _ => false,
                 };
                 if rejected {
                     stats.out_of_order += 1;
                     continue;
                 }
-                monitor.ingest(customer, date, &Basket::new(items));
+                // `Basket::new`'s canonical form, in the reused arena.
+                items.sort_unstable();
+                items.dedup();
+                monitor.ingest_sorted(customer, date, &items);
                 stats.replayed += 1;
             }
-            Ok(Request::Flush(date)) => {
+            ParsedRequest::Flush(date) => {
                 monitor.flush_until(date);
                 stats.replayed += 1;
             }
-            Ok(other) => {
+            other => {
                 return Err(RecoveryError::BadRecord {
-                    seq: record.seq,
+                    seq,
                     reason: format!("non-mutating verb {:?} in the log", other.verb()),
                 })
             }
-            Err(e) => {
-                return Err(RecoveryError::BadRecord {
-                    seq: record.seq,
-                    reason: e.to_string(),
-                })
-            }
         }
+    }
+    stats.wal_end = frames.end();
+    stats.torn_bytes = frames.torn_bytes();
+    if stats.torn_bytes > 0 {
+        wal::truncate_to_valid_in(storage, &wal_path, stats.wal_end)?;
+        attrition_obs::counter("serve.recovery.torn_bytes").add(stats.torn_bytes);
     }
     attrition_obs::counter("serve.recovery.replayed_records").add(stats.replayed);
     stats.customers = monitor.num_customers();
@@ -301,7 +334,7 @@ pub fn recover_in(
 mod tests {
     use super::*;
     use crate::wal::{SyncPolicy, Wal};
-    use attrition_types::{CustomerId, Date};
+    use attrition_types::{Basket, CustomerId, Date};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -431,25 +464,60 @@ mod tests {
         let mut wal = Wal::open(&wal_path, SyncPolicy::Never, 1).unwrap();
         wal.append("INGEST 1 2012-05-02 1").unwrap();
         wal.append("INGEST 2 2012-05-02 2").unwrap();
+        let log_end = wal.end().offset;
         drop(wal);
-        // Tear 3 bytes off the final frame.
-        let len = std::fs::metadata(&wal_path).unwrap().len();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
-            .unwrap()
-            .set_len(len - 3)
-            .unwrap();
+        // Tear the final frame in place: its last 3 bytes never reached
+        // the disk, so the zero extent shows through them.
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        let end = log_end as usize;
+        bytes[end - 3..end].fill(0);
+        std::fs::write(&wal_path, &bytes).unwrap();
 
         let (monitor, stats) = recover(&dir, Some(&fallback())).unwrap();
         assert_eq!(stats.replayed, 1, "only the intact record replays");
         assert!(stats.torn_bytes > 0);
         assert_eq!(monitor.num_customers(), 1);
         // The file is clean now: recovering again reports no tear and
-        // appending continues from the right sequence number.
+        // appending continues from the right sequence number and offset.
         let (_, again) = recover(&dir, Some(&fallback())).unwrap();
         assert_eq!(again.torn_bytes, 0);
         assert_eq!(again.next_seq, 2);
+        assert_eq!(again.wal_end, stats.wal_end);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_extent_is_a_clean_end_and_the_wal_resumes_at_the_last_frame() {
+        let dir = temp_dir("extent");
+        let wal_path = dir.join(WAL_FILE);
+        let mut wal = Wal::open(&wal_path, SyncPolicy::Always, 1).unwrap();
+        wal.append("INGEST 1 2012-05-02 1").unwrap();
+        wal.append("INGEST 2 2012-05-02 2").unwrap();
+        let live_end = wal.end();
+        drop(wal);
+        assert!(
+            std::fs::metadata(&wal_path).unwrap().len() > live_end.offset,
+            "the log keeps a zero extent past its last frame"
+        );
+
+        let (_, stats) = recover(&dir, Some(&fallback())).unwrap();
+        assert_eq!(stats.torn_bytes, 0, "the zero extent is not a torn tail");
+        assert_eq!(stats.log_end(), live_end);
+        // A WAL reopened at the handed-over end writes its next frame
+        // right after the last one, inside the extent.
+        let mut wal = Wal::open_at(
+            RealStorage::shared(),
+            &wal_path,
+            SyncPolicy::Always,
+            stats.log_end(),
+            crate::FaultPlan::none(),
+        )
+        .unwrap();
+        assert_eq!(wal.append("INGEST 3 2012-05-02 3").unwrap(), 3);
+        drop(wal);
+        let (monitor, again) = recover(&dir, Some(&fallback())).unwrap();
+        assert_eq!((again.replayed, again.torn_bytes), (3, 0));
+        assert_eq!(monitor.num_customers(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

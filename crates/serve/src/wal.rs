@@ -1,4 +1,5 @@
-//! The write-ahead log: length+CRC32-framed records, configurable sync.
+//! The write-ahead log: length+CRC32-framed records, written in place
+//! into preallocated space, with a configurable sync.
 //!
 //! Every mutating request (`INGEST`, `FLUSH`) is appended here *before*
 //! it is applied to the monitors and acknowledged, so an acked request
@@ -7,9 +8,9 @@
 //!
 //! ## On-disk format
 //!
-//! A log is a sequence of frames, nothing else — no file header, so an
-//! empty file is a valid (empty) log and truncation to any frame
-//! boundary yields a valid log:
+//! A log file is a sequence of frames followed by zeros — no file
+//! header, so an empty file is a valid (empty) log and truncation to any
+//! frame boundary yields a valid log:
 //!
 //! ```text
 //! ┌────────────┬────────────┬──────────────────────────────┐
@@ -25,29 +26,62 @@
 //! checkpoint LSN, which makes a crash *between* checkpoint rename and
 //! log truncation harmless (idempotent replay).
 //!
-//! ## Torn tails
+//! ## In-place commits
 //!
-//! A crash mid-write leaves a partial frame (or a frame whose CRC does
-//! not match) at the end of the file. [`read_records`] stops at the
-//! first invalid frame and reports how many trailing bytes are
-//! unaccounted for; [`truncate_to_valid`] chops them off so the next
-//! append starts on a clean boundary. Anything after the first invalid
-//! frame is unreachable by construction — frames carry no resync
-//! marker — which is exactly the prefix-durability a WAL promises.
+//! The log keeps a zero-filled, allocated extent of [`EXTENT`] bytes
+//! ahead of its logical end and writes each frame over it, so the fsync
+//! that commits a frame flushes data only: the file's size — and with
+//! it the filesystem journal — changes once per extent, not once per
+//! record. The frame that would cross the end of the extent carries the
+//! next extent in the same write. A checkpoint still truncates the file
+//! to nothing; the next append zero-fills a fresh extent.
+//!
+//! ## Where a log ends
+//!
+//! The log ends at the first offset that does not start a valid frame
+//! (short header, impossible length, CRC mismatch, or a payload that is
+//! not UTF-8). If every byte from there to the end of the file is zero,
+//! that is a clean end: the unused extent. Anything else is a torn tail
+//! — the write a crash interrupted — which [`read_records`] reports and
+//! [`truncate_to_valid`] cuts off. Anything after the first invalid
+//! frame is unreachable by construction — frames carry no resync marker
+//! — which is exactly the prefix-durability a WAL promises.
+//!
+//! A reopened log resumes at the end of its last valid frame, never at
+//! the file's length. Appends write only there, a checkpoint truncates
+//! the file and recovery cuts a torn tail, so the bytes past the logical
+//! end are always zeros: no stale frame can be read as a record.
 
 use crate::env::{RealStorage, SplitMix64, Storage};
 use crate::faults::{injected_error, FaultPlan};
+use attrition_obs::{Counter, Histogram};
 use attrition_util::crc::crc32;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// File name of the log inside a WAL directory.
 pub const WAL_FILE: &str = "wal.log";
+
+/// Zero-filled bytes the log keeps written ahead of its logical end.
+/// Fixed: the commit that carries a fresh extent pays for writing it
+/// (about 0.3 ms at 64 KiB on ext4, 2 ms at 1 MiB), and one extent is
+/// all a log ever holds past its end.
+pub const EXTENT: u64 = 64 * 1024;
 
 /// Frame header size: `len: u32` + `crc: u32`.
 const HEADER: usize = 8;
 /// Payload prefix: the record's sequence number.
 const SEQ_BYTES: usize = 8;
+
+/// Bucket upper bounds (µs) of `serve.wal.sync_us`. An fdatasync that
+/// flushes data only takes tens of µs, one that also journals a size
+/// change or a fresh extent hundreds — below the standard ladder's
+/// first bucket of 0.1 ms.
+const SYNC_US_BUCKETS: [f64; 14] = [
+    10.0, 20.0, 40.0, 60.0, 80.0, 100.0, 150.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0, 50_000.0,
+    250_000.0,
+];
 
 /// When appended records are `fsync`ed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +132,7 @@ pub struct WalRecord {
     pub op: String,
 }
 
-/// Encode one frame (header + payload) ready to append.
+/// Encode one frame (header + payload) ready to write.
 pub fn encode_record(seq: u64, op: &str) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER + SEQ_BYTES + op.len());
     encode_record_into(&mut frame, seq, op);
@@ -119,59 +153,120 @@ pub fn encode_record_into(frame: &mut Vec<u8>, seq: u64, op: &str) {
     frame[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// The valid frames of a log image, walked in place: each item is a
+/// record's `(seq, op)` with the op borrowed from the image, so a replay
+/// allocates nothing per record. Once the walk is over,
+/// [`end`](Frames::end) and [`torn_bytes`](Frames::torn_bytes) say where
+/// and how the log ended.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    bytes: &'a [u8],
+    offset: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// A walk from the start of `bytes` (a whole log file).
+    pub fn new(bytes: &'a [u8]) -> Frames<'a> {
+        Frames { bytes, offset: 0 }
+    }
+
+    /// The end of the last frame yielded so far; after the walk, the
+    /// log's logical end — where its next frame is written.
+    pub fn end(&self) -> u64 {
+        self.offset as u64
+    }
+
+    /// Bytes past [`end`](Frames::end) that are not a clean end: 0 when
+    /// the rest of the image is zeros (the unused extent, or nothing),
+    /// otherwise everything from `end` to the end of the image — what
+    /// recovery cuts off.
+    pub fn torn_bytes(&self) -> u64 {
+        let rest = &self.bytes[self.offset..];
+        if rest.iter().all(|&b| b == 0) {
+            0
+        } else {
+            rest.len() as u64
+        }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = (u64, &'a str);
+
+    fn next(&mut self) -> Option<(u64, &'a str)> {
+        let header = self.bytes.get(self.offset..self.offset + HEADER)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte field")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte field"));
+        if len < SEQ_BYTES {
+            return None; // impossible length (a zero header among them)
+        }
+        let start = self.offset + HEADER;
+        let payload = self.bytes.get(start..start.checked_add(len)?)?; // incomplete: torn
+        if crc32(payload) != crc {
+            return None; // corrupt (bit flip or torn mid-frame)
+        }
+        let seq = u64::from_le_bytes(payload[..SEQ_BYTES].try_into().expect("8-byte field"));
+        // CRC-valid but not UTF-8: treat as torn.
+        let op = std::str::from_utf8(&payload[SEQ_BYTES..]).ok()?;
+        self.offset = start + len;
+        Some((seq, op))
+    }
+}
+
 /// Everything [`read_records`] learned about a log file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
     /// The decodable record prefix, in file order.
     pub records: Vec<WalRecord>,
-    /// Bytes of valid frames (the offset a torn tail starts at).
+    /// Bytes of valid frames: the log's logical end, where a torn tail
+    /// (or the zero extent) starts.
     pub valid_len: u64,
-    /// Trailing bytes that are not a valid frame (0 for a clean log).
+    /// Bytes past the valid frames that are not a clean, zero-filled
+    /// end (0 for a clean log).
     pub torn_bytes: u64,
 }
 
 /// Decode every valid frame from the start of `path`; a missing file
-/// reads as an empty log. Stops at the first invalid frame (short
-/// header, impossible length, CRC mismatch, or payload too short to
-/// carry a sequence number) and reports the remainder as torn.
+/// reads as an empty log. Stops where the log ends (see the module
+/// docs) and reports any non-zero remainder as torn.
 pub fn read_records(path: &Path) -> std::io::Result<WalScan> {
-    read_records_in(RealStorage::shared().as_ref(), path)
-}
-
-/// [`read_records`] against any [`Storage`] (the simulator's entry
-/// point; the real code path is identical).
-pub fn read_records_in(storage: &dyn Storage, path: &Path) -> std::io::Result<WalScan> {
-    let bytes = match storage.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    while bytes.len() - offset >= HEADER {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        let start = offset + HEADER;
-        if len < SEQ_BYTES || bytes.len() - start < len {
-            break; // impossible or incomplete payload: torn
-        }
-        let payload = &bytes[start..start + len];
-        if crc32(payload) != crc {
-            break; // corrupt (bit flip or torn mid-frame)
-        }
-        let seq = u64::from_le_bytes(payload[..SEQ_BYTES].try_into().unwrap());
-        let op = match std::str::from_utf8(&payload[SEQ_BYTES..]) {
-            Ok(op) => op.to_owned(),
-            Err(_) => break, // CRC-valid but not UTF-8: treat as torn
-        };
-        records.push(WalRecord { seq, op });
-        offset = start + len;
-    }
+    let bytes = read_log(RealStorage::shared().as_ref(), path)?;
+    let mut frames = Frames::new(&bytes);
+    let records = frames
+        .by_ref()
+        .map(|(seq, op)| WalRecord {
+            seq,
+            op: op.to_owned(),
+        })
+        .collect();
     Ok(WalScan {
         records,
-        valid_len: offset as u64,
-        torn_bytes: (bytes.len() - offset) as u64,
+        valid_len: frames.end(),
+        torn_bytes: frames.torn_bytes(),
     })
+}
+
+/// The whole log image, for a [`Frames`] walk; a missing file reads as
+/// an empty log.
+pub fn read_log(storage: &dyn Storage, path: &Path) -> std::io::Result<Vec<u8>> {
+    match storage.read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// Find a log's logical end by reading it — what a plain
+/// [`Wal::open`] does, where recovery would hand the end over instead.
+/// A torn tail is cut off, as recovery cuts it, so the bytes past the
+/// end are zeros before anything is written there.
+pub fn scan_end(storage: &dyn Storage, path: &Path) -> std::io::Result<u64> {
+    let bytes = read_log(storage, path)?;
+    let mut frames = Frames::new(&bytes);
+    frames.by_ref().for_each(drop);
+    if frames.torn_bytes() > 0 {
+        truncate_to_valid_in(storage, path, frames.end())?;
+    }
+    Ok(frames.end())
 }
 
 /// Truncate `path` to its valid prefix, discarding a torn tail.
@@ -189,23 +284,77 @@ pub fn truncate_to_valid_in(
     storage.sync(path)
 }
 
+/// Where a reopened log continues: the sequence number its next record
+/// gets, and the byte offset that record is written at — the end of the
+/// last valid frame, never the file's length (which counts the zero
+/// extent). Recovery learns both while it replays
+/// ([`RecoveryStats::log_end`](crate::recovery::RecoveryStats::log_end)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEnd {
+    /// The LSN the next record gets.
+    pub next_seq: u64,
+    /// The byte offset the next frame is written at.
+    pub offset: u64,
+}
+
+impl LogEnd {
+    /// The end of a log that holds nothing and never did.
+    pub const EMPTY: LogEnd = LogEnd {
+        next_seq: 1,
+        offset: 0,
+    };
+}
+
+/// The WAL's metric handles, looked up once when the log opens so the
+/// append, commit and sync paths never look a metric up by name.
+#[derive(Debug)]
+struct WalMetrics {
+    appends: Arc<Counter>,
+    fsyncs: Arc<Counter>,
+    group_commits: Arc<Counter>,
+    extends: Arc<Counter>,
+    errors: Arc<Counter>,
+    sync_us: Arc<Histogram>,
+}
+
+impl WalMetrics {
+    fn lookup() -> WalMetrics {
+        let registry = attrition_obs::global();
+        WalMetrics {
+            appends: registry.counter("serve.wal.appends"),
+            fsyncs: registry.counter("serve.wal.fsyncs"),
+            group_commits: registry.counter("serve.wal.group_commits"),
+            extends: registry.counter("serve.wal.extends"),
+            errors: registry.counter("serve.wal.errors"),
+            sync_us: registry.histogram_with("serve.wal.sync_us", &SYNC_US_BUCKETS),
+        }
+    }
+}
+
 /// The append handle the server writes through.
 pub struct Wal {
     storage: Arc<dyn Storage>,
     path: PathBuf,
     policy: SyncPolicy,
     next_seq: u64,
-    /// Mirror of the file length, so a torn append can roll back.
+    /// The log's logical end: where the next frame is written, and what
+    /// a failed append rolls back to.
     len: u64,
+    /// The file's length. Every byte in `len..alloc` is zero.
+    alloc: u64,
     appends: u64,
     fsyncs: u64,
     unsynced: u64,
     attempts: u64,
+    /// Whether the one-shot `fail_sync_seq` fault has fired.
+    sync_fault_fired: bool,
     faults: FaultPlan,
     fault_rng: SplitMix64,
     crashed: bool,
-    /// Reusable frame encode buffer (see [`encode_record_into`]).
+    /// Reusable frame encode buffer (see [`encode_record_into`]); it
+    /// also carries a fresh extent's zeros when a frame extends the file.
     frame: Vec<u8>,
+    metrics: WalMetrics,
 }
 
 impl std::fmt::Debug for Wal {
@@ -215,6 +364,7 @@ impl std::fmt::Debug for Wal {
             .field("policy", &self.policy)
             .field("next_seq", &self.next_seq)
             .field("len", &self.len)
+            .field("alloc", &self.alloc)
             .field("crashed", &self.crashed)
             .finish_non_exhaustive()
     }
@@ -223,7 +373,8 @@ impl std::fmt::Debug for Wal {
 impl Wal {
     /// Open (creating if missing) the log at `path` for appending.
     /// `next_seq` is the LSN the next record gets — after recovery,
-    /// one past the highest sequence number seen.
+    /// one past the highest sequence number seen. The log's end is found
+    /// by scanning the file ([`scan_end`]).
     pub fn open(path: &Path, policy: SyncPolicy, next_seq: u64) -> std::io::Result<Wal> {
         Wal::open_with_faults(path, policy, next_seq, FaultPlan::none())
     }
@@ -235,61 +386,80 @@ impl Wal {
         next_seq: u64,
         faults: FaultPlan,
     ) -> std::io::Result<Wal> {
-        Wal::open_in(RealStorage::shared(), path, policy, next_seq, faults)
+        let storage = RealStorage::shared();
+        let offset = scan_end(&*storage, path)?;
+        Wal::open_at(storage, path, policy, LogEnd { next_seq, offset }, faults)
     }
 
-    /// [`open_with_faults`](Wal::open_with_faults) against any
-    /// [`Storage`] — the constructor the simulator uses.
-    pub fn open_in(
+    /// Open the log at a known `end` against any [`Storage`] — the
+    /// constructor the engine uses, with the end recovery handed over
+    /// (or [`LogEnd::EMPTY`] for a fresh log), so the log is never read
+    /// a second time. Every byte of the file past `end.offset` must be
+    /// zero, as recovery and [`scan_end`] leave it.
+    pub fn open_at(
         storage: Arc<dyn Storage>,
         path: &Path,
         policy: SyncPolicy,
-        next_seq: u64,
+        end: LogEnd,
         faults: FaultPlan,
     ) -> std::io::Result<Wal> {
-        assert!(next_seq >= 1, "sequence numbers are 1-based");
+        assert!(end.next_seq >= 1, "sequence numbers are 1-based");
         // Touch the file so an empty log exists on disk from the start
         // (recovery treats a missing file and an empty file the same,
         // but a visible empty log is easier to operate on).
-        storage.append(path, b"")?;
-        let len = storage.len(path)?;
+        storage.write_at(path, 0, b"")?;
+        let alloc = storage.len(path)?;
+        if end.offset > alloc {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "log end {} is past the end of {} ({alloc} bytes)",
+                    end.offset,
+                    path.display()
+                ),
+            ));
+        }
         // Decorrelate the stochastic fault stream per incarnation so a
         // restarted WAL does not replay its predecessor's faults.
-        let fault_rng = SplitMix64::new(faults.seed ^ next_seq.wrapping_mul(0x9E37_79B9));
+        let fault_rng = SplitMix64::new(faults.seed ^ end.next_seq.wrapping_mul(0x9E37_79B9));
         Ok(Wal {
             storage,
             path: path.to_owned(),
             policy,
-            next_seq,
-            len,
+            next_seq: end.next_seq,
+            len: end.offset,
+            alloc,
             appends: 0,
             fsyncs: 0,
             unsynced: 0,
             attempts: 0,
+            sync_fault_fired: false,
             faults,
             fault_rng,
             crashed: false,
             frame: Vec::new(),
+            metrics: WalMetrics::lookup(),
         })
     }
 
     /// Append one operation; returns its sequence number. The record is
     /// on disk (per the sync policy) when this returns — the caller may
     /// ack. An error means nothing was acked and nothing must be applied:
-    /// a partially-written frame (torn write) is rolled back by
-    /// truncating to the pre-append length, and a log that cannot even
-    /// roll back poisons itself rather than appending unreachable
-    /// records after garbage.
+    /// a partially-written frame (torn write) is rolled back by cutting
+    /// the file back to the log's end, and a log that cannot even roll
+    /// back poisons itself rather than writing unreachable records after
+    /// garbage. A failed sync leaves the record in the file.
     pub fn append(&mut self, op: &str) -> std::io::Result<u64> {
-        let seq = self.append_raw(op)?;
-        match self.policy {
-            SyncPolicy::Never => {}
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::Interval(n) => {
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
+        let seq = self
+            .append_raw(op)
+            .inspect_err(|_| self.metrics.errors.inc())?;
+        let due = match self.policy {
+            SyncPolicy::Never => false,
+            SyncPolicy::Always => true,
+            SyncPolicy::Interval(n) => self.unsynced >= n,
+        };
+        if due {
+            self.sync().inspect_err(|_| self.metrics.errors.inc())?;
         }
         if self.faults.crash_after_appends == Some(self.appends) {
             self.crash();
@@ -304,14 +474,17 @@ impl Wal {
     /// ack before then. Deterministic crash-after-N faults still fire,
     /// at the append boundary, same as the plain path.
     pub fn append_deferred(&mut self, op: &str) -> std::io::Result<u64> {
-        let seq = self.append_raw(op)?;
+        let seq = self
+            .append_raw(op)
+            .inspect_err(|_| self.metrics.errors.inc())?;
         if self.faults.crash_after_appends == Some(self.appends) {
             self.crash();
         }
         Ok(seq)
     }
 
-    /// Append one frame with fault injection and rollback, no syncing.
+    /// Write one frame at the log's end with fault injection and
+    /// rollback, no syncing.
     fn append_raw(&mut self, op: &str) -> std::io::Result<u64> {
         if self.crashed {
             return Err(injected_error("wal crashed"));
@@ -322,33 +495,52 @@ impl Wal {
         }
         let seq = self.next_seq;
         encode_record_into(&mut self.frame, seq, op);
-        // One append call per frame: a crash tears at most this frame.
+        let frame_len = self.frame.len();
+        let end = self.len + frame_len as u64;
+        // A frame that would cross the end of the zero extent carries
+        // the next extent in the same write: one write call per frame,
+        // so a crash still tears at most this frame.
+        let extend = end > self.alloc;
+        if extend {
+            self.frame.resize(frame_len + EXTENT as usize, 0);
+        }
         let outcome = if self.faults.torn_append(&mut self.fault_rng) {
             // Injected torn write: a prefix of the frame reaches the
             // file, then the write "fails" — what a full disk or a
             // yanked cable leaves behind.
-            let cut = 1 + self.fault_rng.below(self.frame.len() as u64 - 1) as usize;
-            let _ = self.storage.append(&self.path, &self.frame[..cut]);
+            let cut = 1 + self.fault_rng.below(frame_len as u64 - 1) as usize;
+            let _ = self
+                .storage
+                .write_at(&self.path, self.len, &self.frame[..cut]);
             Err(injected_error("torn append"))
         } else if self.faults.failed_append(&mut self.fault_rng) {
             Err(injected_error("scheduled append failure"))
         } else {
-            self.storage.append(&self.path, &self.frame)
+            self.storage.write_at(&self.path, self.len, &self.frame)
         };
+        let written = self.frame.len() as u64;
+        self.frame.truncate(frame_len);
         if let Err(e) = outcome {
-            // Roll back whatever prefix may have landed. If even that
-            // fails the tail is garbage and every later append would be
+            // Roll back whatever prefix may have landed by cutting the
+            // file back to the log's end (the extent goes too; the next
+            // append writes a fresh one). If even that fails the bytes
+            // past the end are garbage and every later frame would be
             // unreachable at recovery — poison the log instead.
-            if self.storage.set_len(&self.path, self.len).is_err() {
-                self.crashed = true;
+            match self.storage.set_len(&self.path, self.len) {
+                Ok(_) => self.alloc = self.len,
+                Err(_) => self.crashed = true,
             }
             return Err(e);
         }
-        self.len += self.frame.len() as u64;
+        if extend {
+            self.alloc = self.len + written;
+            self.metrics.extends.inc();
+        }
+        self.len = end;
         self.next_seq += 1;
         self.appends += 1;
         self.unsynced += 1;
-        attrition_obs::counter("serve.wal.appends").inc();
+        self.metrics.appends.inc();
         Ok(seq)
     }
 
@@ -362,6 +554,11 @@ impl Wal {
     /// the group's records may be acked — they stay in the file and
     /// recovery will replay them, but the clients must see `ERR`.
     pub fn commit(&mut self) -> std::io::Result<()> {
+        self.commit_group()
+            .inspect_err(|_| self.metrics.errors.inc())
+    }
+
+    fn commit_group(&mut self) -> std::io::Result<()> {
         if self.crashed {
             return Err(injected_error("wal crashed"));
         }
@@ -378,12 +575,13 @@ impl Wal {
         };
         if due {
             self.sync()?;
-            attrition_obs::counter("serve.wal.group_commits").inc();
+            self.metrics.group_commits.inc();
         }
         Ok(())
     }
 
-    /// Fsync the log (no-op when nothing is pending).
+    /// Fsync the log (no-op when nothing is pending). Its duration is
+    /// recorded in `serve.wal.sync_us` while metrics are enabled.
     pub fn sync(&mut self) -> std::io::Result<()> {
         if self.crashed {
             return Err(injected_error("wal crashed"));
@@ -391,22 +589,44 @@ impl Wal {
         if self.unsynced == 0 {
             return Ok(());
         }
+        if !self.sync_fault_fired
+            && self
+                .faults
+                .fail_sync_seq
+                .is_some_and(|seq| self.synced_seq() < seq && seq < self.next_seq)
+        {
+            self.sync_fault_fired = true;
+            return Err(injected_error("scheduled sync failure"));
+        }
+        let started = attrition_obs::enabled().then(Instant::now);
         self.storage.sync(&self.path)?;
+        if let Some(started) = started {
+            self.metrics
+                .sync_us
+                .observe(started.elapsed().as_secs_f64() * 1e6);
+        }
         self.unsynced = 0;
         self.fsyncs += 1;
-        attrition_obs::counter("serve.wal.fsyncs").inc();
+        self.metrics.fsyncs.inc();
         Ok(())
     }
 
     /// Drop every record (after a checkpoint made them redundant). The
-    /// sequence counter keeps running — LSNs never restart.
+    /// sequence counter keeps running — LSNs never restart — and the
+    /// next append zero-fills a fresh extent.
     pub fn truncate(&mut self) -> std::io::Result<()> {
         if self.crashed {
             return Err(injected_error("wal crashed"));
         }
-        self.storage.set_len(&self.path, 0)?;
-        self.storage.sync(&self.path)?;
+        if let Err(e) = self.storage.set_len(&self.path, 0) {
+            // The file may or may not have been cut, so where its zeros
+            // start is unknown: poison rather than write behind garbage.
+            self.crashed = true;
+            return Err(e);
+        }
         self.len = 0;
+        self.alloc = 0;
+        self.storage.sync(&self.path)?;
         self.unsynced = 0;
         Ok(())
     }
@@ -414,6 +634,15 @@ impl Wal {
     /// The last sequence number appended (0 before the first append).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
+    }
+
+    /// Where this log continues: the next record's LSN and the offset
+    /// its frame is written at.
+    pub fn end(&self) -> LogEnd {
+        LogEnd {
+            next_seq: self.next_seq,
+            offset: self.len,
+        }
     }
 
     /// The highest sequence number known durable: every record at or
@@ -446,14 +675,12 @@ impl Wal {
         &self.path
     }
 
-    /// Simulate process death: optionally tear the tail, then refuse
-    /// every further operation. Fault-injection only.
+    /// Simulate process death: optionally tear the log's last frame,
+    /// then refuse every further operation. Fault-injection only.
     fn crash(&mut self) {
         if self.faults.torn_tail_bytes > 0 {
-            if let Ok(len) = self.storage.len(&self.path) {
-                let keep = len.saturating_sub(self.faults.torn_tail_bytes);
-                let _ = self.storage.set_len(&self.path, keep);
-            }
+            let keep = self.len.saturating_sub(self.faults.torn_tail_bytes);
+            let _ = self.storage.set_len(&self.path, keep);
         }
         self.crashed = true;
     }
@@ -692,6 +919,196 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn zero_extent_is_a_clean_end() {
+        let path = temp_path("extent_clean");
+        let _ = std::fs::remove_file(&path);
+        let extends = attrition_obs::counter("serve.wal.extends").get();
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 1).unwrap();
+        for i in 0..5 {
+            wal.append(&format!("INGEST {i} 2012-05-02 1 2")).unwrap();
+        }
+        let end = wal.end();
+        drop(wal);
+        assert_eq!(end.next_seq, 6);
+        // One extent rode with the first frame; the rest overwrote it.
+        let first_frame = encode_record(1, "INGEST 0 2012-05-02 1 2").len() as u64;
+        assert_eq!(file_len(&path), first_frame + EXTENT);
+        assert!(attrition_obs::counter("serve.wal.extends").get() > extends);
+        let scan = read_records(&path).unwrap();
+        assert_eq!(scan.records.len(), 5);
+        assert_eq!(scan.valid_len, end.offset);
+        assert_eq!(scan.torn_bytes, 0, "zeros past the last frame are not torn");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_frame_crossing_the_extent_carries_the_next_one() {
+        let path = temp_path("extent_cross");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, SyncPolicy::Never, 1).unwrap();
+        let op = format!("INGEST 1 2012-05-02{}", " 12345".repeat(200));
+        let frame = encode_record(1, &op).len() as u64;
+        let per_extent = (frame + EXTENT) / frame;
+        for _ in 0..per_extent {
+            wal.append(&op).unwrap();
+        }
+        assert_eq!(
+            file_len(&path),
+            frame + EXTENT,
+            "still inside the first extent"
+        );
+        wal.append(&op).unwrap();
+        assert_eq!(
+            file_len(&path),
+            (per_extent + 1) * frame + EXTENT,
+            "the crossing frame wrote a fresh extent past itself"
+        );
+        drop(wal);
+        let scan = read_records(&path).unwrap();
+        assert_eq!(scan.records.len() as u64, per_extent + 1);
+        assert_eq!(scan.torn_bytes, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_frame_inside_the_extent_is_cut() {
+        let path = temp_path("extent_torn");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 1).unwrap();
+        let mut ends = Vec::new();
+        for i in 1..=3u64 {
+            wal.append(&format!("INGEST {i} 2012-05-02 7")).unwrap();
+            ends.push(wal.end().offset);
+        }
+        drop(wal);
+        // The third frame's last byte never reached the disk.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[ends[2] as usize - 1] = 0;
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = read_records(&path).unwrap();
+        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.valid_len, ends[1]);
+        assert_eq!(scan.torn_bytes, bytes.len() as u64 - ends[1]);
+        // A frame that landed past a hole is torn too, not a record.
+        let mut holed = std::fs::read(&path).unwrap();
+        holed[ends[1] as usize..ends[2] as usize].fill(0);
+        holed.extend_from_slice(&encode_record(4, "INGEST 4 2012-05-02"));
+        std::fs::write(&path, &holed).unwrap();
+        let scan = read_records(&path).unwrap();
+        assert_eq!((scan.records.len(), scan.valid_len), (2, ends[1]));
+        assert!(scan.torn_bytes > 0);
+        // Cutting it leaves a log a reopened WAL continues cleanly.
+        truncate_to_valid(&path, scan.valid_len).unwrap();
+        assert_eq!(file_len(&path), ends[1]);
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 3).unwrap();
+        assert_eq!(wal.append("INGEST 3 2012-05-03 8").unwrap(), 3);
+        drop(wal);
+        let clean = read_records(&path).unwrap();
+        assert_eq!(
+            clean.records.iter().map(|r| r.seq).collect::<Vec<u64>>(),
+            [1, 2, 3]
+        );
+        assert_eq!(clean.torn_bytes, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn wal_reopens_at_the_last_frame_not_the_file_length() {
+        let path = temp_path("reopen");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 1).unwrap();
+        wal.append("INGEST 1 2012-05-02 1").unwrap();
+        wal.append("INGEST 2 2012-05-02 2").unwrap();
+        let end = wal.end();
+        drop(wal);
+        assert!(file_len(&path) > end.offset);
+        // A plain open finds the end by scanning...
+        let mut wal = Wal::open(&path, SyncPolicy::Always, end.next_seq).unwrap();
+        assert_eq!(wal.end(), end);
+        wal.append("INGEST 3 2012-05-02 3").unwrap();
+        let end = wal.end();
+        drop(wal);
+        // ...and an open at a handed-over end trusts it.
+        let mut wal = Wal::open_at(
+            RealStorage::shared(),
+            &path,
+            SyncPolicy::Always,
+            end,
+            FaultPlan::none(),
+        )
+        .unwrap();
+        wal.append("INGEST 4 2012-05-02 4").unwrap();
+        drop(wal);
+        let scan = read_records(&path).unwrap();
+        assert_eq!(
+            scan.records.iter().map(|r| r.seq).collect::<Vec<u64>>(),
+            [1, 2, 3, 4],
+            "every frame landed right after the previous one"
+        );
+        assert_eq!(scan.torn_bytes, 0);
+        // An end past the file is refused rather than written behind.
+        let past = LogEnd {
+            next_seq: 5,
+            offset: file_len(&path) + 1,
+        };
+        assert!(Wal::open_at(
+            RealStorage::shared(),
+            &path,
+            SyncPolicy::Always,
+            past,
+            FaultPlan::none()
+        )
+        .is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_truncation_drops_the_extent_and_the_next_append_refills_it() {
+        let path = temp_path("truncate_extent");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 1).unwrap();
+        wal.append("INGEST 1 2012-05-02 1").unwrap();
+        wal.truncate().unwrap();
+        assert_eq!(file_len(&path), 0, "no retired frame survives the cut");
+        wal.append("INGEST 2 2012-05-02 2").unwrap();
+        let frame = encode_record(2, "INGEST 2 2012-05-02 2").len() as u64;
+        assert_eq!(file_len(&path), frame + EXTENT);
+        let scan = read_records(&path).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records[0].seq, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn scheduled_sync_failure_keeps_the_record_and_fires_once() {
+        let path = temp_path("failsync");
+        let _ = std::fs::remove_file(&path);
+        let mut wal =
+            Wal::open_with_faults(&path, SyncPolicy::Always, 1, FaultPlan::fail_sync_seq(2))
+                .unwrap();
+        assert_eq!(wal.append("INGEST 1 2012-05-02").unwrap(), 1);
+        let err = wal.append("INGEST 2 2012-05-02").unwrap_err();
+        assert!(err.to_string().contains("sync failure"), "{err}");
+        // The record is in the file and the log is not poisoned.
+        assert_eq!((wal.last_seq(), wal.synced_seq()), (2, 1));
+        assert!(!wal.crashed());
+        assert_eq!(wal.append("INGEST 3 2012-05-02").unwrap(), 3);
+        assert_eq!(wal.synced_seq(), 3, "the next sync covered record 2 too");
+        drop(wal);
+        assert_eq!(read_records(&path).unwrap().records.len(), 3);
+        // A WAL reopened past the sequence number never fires it.
+        let mut wal =
+            Wal::open_with_faults(&path, SyncPolicy::Always, 4, FaultPlan::fail_sync_seq(2))
+                .unwrap();
+        assert_eq!(wal.append("INGEST 4 2012-05-02").unwrap(), 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn prop_encode_decode_roundtrips() {
         forall(
@@ -769,6 +1186,71 @@ mod tests {
                 );
                 assert_eq!(truncated.valid_len + truncated.torn_bytes, *cut as u64);
                 let _ = std::fs::remove_file(&path);
+            },
+        );
+    }
+
+    #[test]
+    fn prop_any_single_byte_corruption_or_truncation_of_a_preallocated_log_is_detected() {
+        forall(
+            48,
+            |rng| {
+                let n = 1 + rng.u64_below(4);
+                let mut bytes = Vec::new();
+                let mut ends = Vec::new();
+                for i in 0..n {
+                    bytes.extend_from_slice(&encode_record(i + 1, &random_op(rng)));
+                    ends.push(bytes.len());
+                }
+                // The zero extent past the last frame.
+                bytes.resize(bytes.len() + 1 + rng.u64_below(96) as usize, 0);
+                let pos = rng.u64_below(bytes.len() as u64) as usize;
+                let flip = 1u8 << rng.u64_below(8);
+                let cut = rng.u64_below(bytes.len() as u64 + 1) as usize;
+                (bytes, ends, pos, flip, cut)
+            },
+            |(bytes, ends, pos, flip, cut)| {
+                let scan_of = |image: &[u8]| {
+                    let mut frames = Frames::new(image);
+                    let seqs: Vec<u64> = frames.by_ref().map(|(seq, _)| seq).collect();
+                    (seqs, frames.end(), frames.torn_bytes())
+                };
+                let (clean, clean_end, clean_torn) = scan_of(bytes);
+                assert_eq!(clean.len(), ends.len());
+                assert_eq!(clean_end, *ends.last().unwrap() as u64);
+                assert_eq!(clean_torn, 0, "the zero extent is a clean end");
+
+                // Single-byte corruption, frame or extent: fewer records
+                // decode, or the remainder is reported torn — and what
+                // decodes is an untouched prefix.
+                let mut corrupted = bytes.clone();
+                corrupted[*pos] ^= flip;
+                let (seqs, end, torn) = scan_of(&corrupted);
+                assert!(
+                    seqs.len() < ends.len() || torn > 0,
+                    "corruption at byte {pos} went undetected"
+                );
+                assert_eq!(seqs.as_slice(), &clean[..seqs.len()]);
+                assert!(end <= *pos as u64 || seqs.len() == ends.len());
+
+                // Truncation at any byte: exactly the frames that end
+                // inside the cut decode; a cut inside a frame is torn.
+                let (seqs, end, torn) = scan_of(&bytes[..*cut]);
+                let whole = ends.iter().filter(|&&e| e <= *cut).count();
+                assert_eq!(seqs.len(), whole);
+                assert_eq!(
+                    end,
+                    if whole == 0 {
+                        0
+                    } else {
+                        ends[whole - 1] as u64
+                    }
+                );
+                if (end as usize) < *cut && *cut <= *ends.last().unwrap() {
+                    assert_eq!(end + torn, *cut as u64, "cut at {cut} inside a frame");
+                } else {
+                    assert_eq!(torn, 0, "cut at {cut} leaves only zeros");
+                }
             },
         );
     }

@@ -6,9 +6,12 @@
 //! so every iteration order is deterministic) and models exactly the
 //! crash behaviors POSIX permits:
 //!
-//! - **unsynced data may tear**: at a crash, a file reverts to its last
-//!   fsynced content plus a *seeded prefix* of whatever was appended
-//!   since — the torn tails the WAL's CRC framing must detect;
+//! - **unsynced writes may tear**: at a crash, a file reverts to its
+//!   last fsynced content, and then each write made since — positioned
+//!   or whole-file — survives whole, torn (a seeded prefix), or not at
+//!   all, each on its own draw: the page cache flushes in no promised
+//!   order. Torn frames, and frames that landed past a hole, are what
+//!   the WAL's CRC framing and its clean-end rule must detect;
 //! - **namespace operations need a directory sync**: renames and
 //!   removes sit in a pending journal until
 //!   [`sync_dir`](attrition_serve::Storage::sync_dir); at a crash a
@@ -70,6 +73,44 @@ struct Entry {
     /// The on-disk view a crash reverts to; `None` until the first
     /// fsync of this file.
     durable: Option<Vec<u8>>,
+    /// Writes since the last fsync, oldest first: what a crash may keep,
+    /// tear or drop, each on its own.
+    unsynced: Vec<Unsynced>,
+}
+
+impl Entry {
+    fn new() -> Entry {
+        Entry {
+            data: Vec::new(),
+            durable: None,
+            unsynced: Vec::new(),
+        }
+    }
+
+    /// The content becomes durable (an fsync, or a syncing truncation).
+    fn settle(&mut self) {
+        self.durable = Some(self.data.clone());
+        self.unsynced.clear();
+    }
+}
+
+/// One write not yet made durable by an fsync.
+#[derive(Debug, Clone)]
+enum Unsynced {
+    /// A whole-file [`write`](Storage::write): truncate, then write.
+    Replace(Vec<u8>),
+    /// A positioned [`write_at`](Storage::write_at).
+    At { offset: usize, bytes: Vec<u8> },
+}
+
+/// Apply `bytes` at `offset` of `image`, zero-filling a gap and
+/// extending it when the write ends past its length.
+fn write_into(image: &mut Vec<u8>, offset: usize, bytes: &[u8]) {
+    let end = offset + bytes.len();
+    if image.len() < end {
+        image.resize(end, 0);
+    }
+    image[offset..end].copy_from_slice(bytes);
 }
 
 /// A namespace operation not yet made durable by a directory sync.
@@ -97,7 +138,8 @@ struct SimFs {
 /// Counters a simulation report can read back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// Files torn (lost an unsynced suffix) across all crashes.
+    /// Files that lost or tore at least one unsynced write, across all
+    /// crashes.
     pub torn_files: u64,
     /// Namespace operations rolled back across all crashes.
     pub rolled_back_ops: u64,
@@ -132,9 +174,10 @@ impl SimStorage {
 
     /// Simulate power loss: roll back a seeded suffix of the pending
     /// namespace journal (in reverse order — ordering is preserved, a
-    /// later op never survives an earlier one's loss), then revert every
-    /// file to its durable content plus a seeded prefix of its unsynced
-    /// suffix (a torn tail). Afterwards the surviving state *is* the
+    /// later op never survives an earlier one's loss), then rebuild every
+    /// file from its durable content plus each unsynced write since,
+    /// oldest first, kept whole, torn to a seeded prefix, or dropped —
+    /// one seeded draw per write. Afterwards the surviving state *is* the
     /// durable state, as a remounted disk would present it.
     pub fn crash(&self, rng: &mut SplitMix64) {
         let mut fs = self.fs.lock().unwrap_or_else(|p| p.into_inner());
@@ -168,35 +211,32 @@ impl SimStorage {
         // Ops that survived the cut are now settled on disk.
         fs.pending.clear();
         for entry in fs.files.values_mut() {
-            let durable = entry.durable.clone().unwrap_or_default();
-            if entry.data.len() > durable.len() && entry.data.starts_with(&durable) {
-                // A seeded prefix of the unsynced suffix made it out of
-                // the page cache; the rest is torn off.
-                let suffix = (entry.data.len() - durable.len()) as u64;
-                let kept = rng.below(suffix + 1) as usize;
-                if kept < suffix as usize {
-                    stats.torn_files += 1;
+            let mut image = entry.durable.take().unwrap_or_default();
+            let mut torn = false;
+            for write in entry.unsynced.drain(..) {
+                let len = match &write {
+                    Unsynced::Replace(bytes) | Unsynced::At { bytes, .. } => bytes.len(),
+                };
+                let kept = match rng.below(3) {
+                    0 => len,
+                    1 => rng.below(len as u64) as usize,
+                    _ => 0,
+                };
+                torn |= kept < len;
+                match write {
+                    Unsynced::Replace(bytes) if kept > 0 => image = bytes[..kept].to_vec(),
+                    Unsynced::At { offset, bytes } if kept > 0 => {
+                        write_into(&mut image, offset, &bytes[..kept])
+                    }
+                    _ => {} // dropped whole: the old bytes stay
                 }
-                entry.data.truncate(durable.len() + kept);
-            } else if entry.durable.is_some() {
-                entry.data = durable;
-            } else {
-                // Never synced and not an append extension (e.g. an
-                // unsynced overwrite): nothing of it is guaranteed.
-                let kept = rng.below(entry.data.len() as u64 + 1) as usize;
-                if kept < entry.data.len() {
-                    stats.torn_files += 1;
-                }
-                entry.data.truncate(kept);
             }
-            entry.durable = Some(entry.data.clone());
+            if torn {
+                stats.torn_files += 1;
+            }
+            entry.data = image;
+            entry.settle();
         }
-    }
-
-    /// Raw file content (test/debug access without the `Storage` vtable).
-    pub fn content(&self, path: &Path) -> Option<Vec<u8>> {
-        let fs = self.fs.lock().unwrap_or_else(|p| p.into_inner());
-        fs.files.get(path).map(|e| e.data.clone())
     }
 }
 
@@ -211,36 +251,29 @@ impl Storage for SimStorage {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut fs = self.fs.lock().unwrap_or_else(|p| p.into_inner());
-        if !fs.files.contains_key(path) {
+        let fs = &mut *fs;
+        let entry = fs.files.entry(path.to_owned()).or_insert_with(|| {
             fs.pending.push(Pending::Create(path.to_owned()));
-            fs.files.insert(
-                path.to_owned(),
-                Entry {
-                    data: bytes.to_owned(),
-                    durable: None,
-                },
-            );
-        } else {
-            let entry = fs.files.get_mut(path).expect("checked above");
-            entry.data = bytes.to_owned();
-        }
+            Entry::new()
+        });
+        entry.data = bytes.to_owned();
+        entry.unsynced.push(Unsynced::Replace(bytes.to_owned()));
         Ok(())
     }
 
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
         let mut fs = self.fs.lock().unwrap_or_else(|p| p.into_inner());
-        if !fs.files.contains_key(path) {
+        let fs = &mut *fs;
+        let entry = fs.files.entry(path.to_owned()).or_insert_with(|| {
             fs.pending.push(Pending::Create(path.to_owned()));
-            fs.files.insert(
-                path.to_owned(),
-                Entry {
-                    data: bytes.to_owned(),
-                    durable: None,
-                },
-            );
-        } else {
-            let entry = fs.files.get_mut(path).expect("checked above");
-            entry.data.extend_from_slice(bytes);
+            Entry::new()
+        });
+        if !bytes.is_empty() {
+            write_into(&mut entry.data, offset as usize, bytes);
+            entry.unsynced.push(Unsynced::At {
+                offset: offset as usize,
+                bytes: bytes.to_owned(),
+            });
         }
         Ok(())
     }
@@ -248,7 +281,7 @@ impl Storage for SimStorage {
     fn sync(&self, path: &Path) -> io::Result<()> {
         let mut fs = self.fs.lock().unwrap_or_else(|p| p.into_inner());
         let entry = fs.files.get_mut(path).ok_or_else(|| not_found(path))?;
-        entry.durable = Some(entry.data.clone());
+        entry.settle();
         // A journaled filesystem commits the new file's directory entry
         // with its first data sync; pending renames/removes still need
         // the explicit directory sync.
@@ -262,7 +295,7 @@ impl Storage for SimStorage {
         let entry = fs.files.get_mut(path).ok_or_else(|| not_found(path))?;
         entry.data.resize(len as usize, 0);
         // Mirrors RealStorage::set_len, which syncs the truncation.
-        entry.durable = Some(entry.data.clone());
+        entry.settle();
         Ok(len)
     }
 
@@ -341,34 +374,86 @@ mod tests {
 
     #[test]
     fn synced_content_survives_a_crash_unsynced_tail_tears() {
+        let write = |storage: &SimStorage| {
+            storage
+                .write_at(&p("/d/wal.log"), 0, b"durable-part")
+                .unwrap();
+            storage.sync(&p("/d/wal.log")).unwrap();
+            storage
+                .write_at(&p("/d/wal.log"), 12, b"-unsynced-tail")
+                .unwrap();
+        };
         let storage = SimStorage::new();
-        storage.append(&p("/d/wal.log"), b"durable-part").unwrap();
-        storage.sync(&p("/d/wal.log")).unwrap();
-        storage.append(&p("/d/wal.log"), b"-unsynced-tail").unwrap();
+        write(&storage);
         let mut rng = SplitMix64::new(7);
         storage.crash(&mut rng);
-        let content = storage.content(&p("/d/wal.log")).unwrap();
+        let content = storage.read(&p("/d/wal.log")).unwrap();
         assert!(content.starts_with(b"durable-part"), "{content:?}");
         assert!(content.len() <= b"durable-part-unsynced-tail".len());
         // Determinism: same seed, same outcome.
         let storage2 = SimStorage::new();
-        storage2.append(&p("/d/wal.log"), b"durable-part").unwrap();
-        storage2.sync(&p("/d/wal.log")).unwrap();
-        storage2
-            .append(&p("/d/wal.log"), b"-unsynced-tail")
-            .unwrap();
+        write(&storage2);
         storage2.crash(&mut SplitMix64::new(7));
-        assert_eq!(storage2.content(&p("/d/wal.log")).unwrap(), content);
+        assert_eq!(storage2.read(&p("/d/wal.log")).unwrap(), content);
+    }
+
+    #[test]
+    fn each_unsynced_write_survives_whole_torn_or_not_at_all() {
+        // Two in-place writes over a synced zero extent: across seeds a
+        // crash keeps each one whole, tears it, or drops it, on its own
+        // — including the second surviving while the first is lost,
+        // which leaves a hole a log reader must not read past.
+        let path = p("/d/wal.log");
+        let (mut whole, mut torn, mut lost, mut hole) = (false, false, false, false);
+        for seed in 0..64 {
+            let storage = SimStorage::new();
+            storage.write_at(&path, 0, &[0; 16]).unwrap();
+            storage.sync(&path).unwrap();
+            storage.write_at(&path, 0, b"AAAA").unwrap();
+            storage.write_at(&path, 4, b"BBBB").unwrap();
+            storage.crash(&mut SplitMix64::new(seed));
+            let content = storage.read(&path).unwrap();
+            assert_eq!(content.len(), 16, "the extent's length is durable");
+            let first = &content[..4];
+            whole |= first == b"AAAA";
+            torn |= first != b"AAAA" && first[0] == b'A';
+            lost |= first == [0; 4];
+            hole |= first == [0; 4] && content[4] == b'B';
+            // A write only ever lands as a prefix of itself.
+            assert!(first.iter().all(|&b| b == b'A' || b == 0), "{content:?}");
+            assert!(first.iter().skip_while(|&&b| b == b'A').all(|&b| b == 0));
+        }
+        assert!(
+            whole && torn && lost && hole,
+            "{whole} {torn} {lost} {hole}"
+        );
+    }
+
+    #[test]
+    fn a_write_past_the_end_that_is_lost_leaves_the_old_length() {
+        let path = p("/d/grow");
+        for seed in 0..32 {
+            let storage = SimStorage::new();
+            storage.write_at(&path, 0, b"abc").unwrap();
+            storage.sync(&path).unwrap();
+            storage.write_at(&path, 3, &[7; 8]).unwrap();
+            storage.crash(&mut SplitMix64::new(seed));
+            let content = storage.read(&path).unwrap();
+            assert!(content.starts_with(b"abc"));
+            assert!(content.len() <= 11);
+            assert!(content[3..].iter().all(|&b| b == 7));
+        }
     }
 
     #[test]
     fn never_synced_file_may_vanish_entirely() {
-        // With the right seed, an unsynced file loses everything.
+        // With the right seed, an unsynced file loses everything: its
+        // creation rolls back, or its one write is dropped.
         for seed in 0..64 {
             let storage = SimStorage::new();
-            storage.append(&p("/d/f"), b"abc").unwrap();
+            storage.write_at(&p("/d/f"), 0, b"abc").unwrap();
             storage.crash(&mut SplitMix64::new(seed));
-            if storage.content(&p("/d/f")).unwrap().is_empty() {
+            if storage.read(&p("/d/f")).ok().is_none_or(|c| c.is_empty()) {
                 return;
             }
         }
@@ -389,19 +474,16 @@ mod tests {
                 .rename(&p("/d/c.ckpt.tmp"), &p("/d/c.ckpt"))
                 .unwrap();
             storage.crash(&mut SplitMix64::new(seed));
-            if storage.content(&p("/d/c.ckpt")).is_none() {
+            if storage.read(&p("/d/c.ckpt")).ok().is_none() {
                 // Rolled back: the tmp must be intact (it was synced).
                 assert_eq!(
-                    storage.content(&p("/d/c.ckpt.tmp")).unwrap(),
+                    storage.read(&p("/d/c.ckpt.tmp")).unwrap(),
                     b"checkpoint-bytes"
                 );
                 return;
             }
             // Survived: the final name holds the full content.
-            assert_eq!(
-                storage.content(&p("/d/c.ckpt")).unwrap(),
-                b"checkpoint-bytes"
-            );
+            assert_eq!(storage.read(&p("/d/c.ckpt")).unwrap(), b"checkpoint-bytes");
         }
         panic!("no seed in 0..64 rolled the rename back");
     }
@@ -418,8 +500,8 @@ mod tests {
         for seed in 0..32 {
             // No pending ops: every crash preserves the rename.
             storage.crash(&mut SplitMix64::new(seed));
-            assert_eq!(storage.content(&p("/d/c.ckpt")).unwrap(), b"x");
-            assert!(storage.content(&p("/d/c.ckpt.tmp")).is_none());
+            assert_eq!(storage.read(&p("/d/c.ckpt")).unwrap(), b"x");
+            assert!(storage.read(&p("/d/c.ckpt.tmp")).ok().is_none());
         }
     }
 

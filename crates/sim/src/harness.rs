@@ -49,7 +49,7 @@ use attrition_serve::engine::{BatchScratch, DurabilityConfig, Engine};
 use attrition_serve::protocol::{format_score, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
 use attrition_serve::shard::ShardedMonitor;
-use attrition_serve::wal::WAL_FILE;
+use attrition_serve::wal::{LogEnd, WAL_FILE};
 use attrition_serve::{FaultPlan, SplitMix64, Storage, SyncPolicy};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date, ItemId};
@@ -62,11 +62,13 @@ use std::time::Duration;
 /// catch what it claims to catch (the sweep must fail, with a seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimBug {
-    /// Undo recovery's torn-tail truncation: the garbage tail stays in
-    /// the log, later appends land after it, and the *next* recovery
-    /// silently loses every record behind the garbage — the exact
-    /// failure mode `truncate_to_valid` exists to prevent.
-    KeepTornTail,
+    /// Reopen the WAL at the file's length instead of the end of its
+    /// last valid frame (what recovery hands over): appends land past
+    /// the zero extent, behind a hole, and the *next* recovery — which
+    /// must read the zeros as the log's end — cuts every record after
+    /// them. The exact failure mode the recovered-end handoff exists to
+    /// prevent.
+    ResumeAtFileLength,
 }
 
 /// One simulated world. Construct via [`SimConfig::for_seed`] (the
@@ -131,9 +133,10 @@ impl SimConfig {
     }
 
     /// [`for_seed`](SimConfig::for_seed) with a bug re-introduced and
-    /// the conditions that expose it: an interval sync policy (so
-    /// crashes produce torn tails) and periodic checkpoints off (so a
-    /// checkpoint truncation cannot mask the kept garbage).
+    /// the conditions that expose it: an interval sync policy (so some
+    /// crashes leave a clean end with the zero extent past it) and
+    /// periodic checkpoints off (so a checkpoint truncation cannot cut
+    /// the extent away and mask the bug).
     pub fn with_bug(seed: u64, bug: SimBug) -> SimConfig {
         SimConfig {
             sync_policy: SyncPolicy::Interval(2),
@@ -322,7 +325,7 @@ impl Sim {
             monitor,
             None,
             Some(&dcfg),
-            1,
+            LogEnd::EMPTY,
             Arc::clone(&storage) as Arc<dyn Storage>,
             Arc::clone(&clock) as Arc<dyn attrition_serve::Clock>,
         )
@@ -571,12 +574,6 @@ impl Sim {
         let synced_floor = self.engine.wal_synced_seq();
         self.storage.crash(&mut self.crash_rng);
 
-        let wal_path = self.dcfg.wal_dir.join(WAL_FILE);
-        let pre_recovery_wal = match self.config.bug {
-            Some(SimBug::KeepTornTail) => self.storage.content(&wal_path),
-            None => None,
-        };
-
         let fallback = Fallback {
             spec: spec(),
             params: StabilityParams::PAPER,
@@ -661,19 +658,12 @@ impl Sim {
         self.oplog.retain(|e| e.seq <= floor);
         self.mirror = reference;
 
-        if self.config.bug == Some(SimBug::KeepTornTail) {
-            // Re-introduce the bug: put the torn tail recovery just
-            // truncated back at the end of the log, durably — as if
-            // `truncate_to_valid` had never run.
-            if let Some(pre) = pre_recovery_wal {
-                let cur = self.storage.len(&wal_path).unwrap_or(0) as usize;
-                if pre.len() > cur {
-                    self.storage
-                        .append(&wal_path, &pre[cur..])
-                        .expect("sim append cannot fail");
-                    self.storage.sync(&wal_path).expect("sim sync cannot fail");
-                }
-            }
+        let mut wal_end = stats.log_end();
+        if self.config.bug == Some(SimBug::ResumeAtFileLength) {
+            // Re-introduce the bug: ignore the handed-over end and
+            // resume where the file ends, past the zero extent.
+            let wal_path = self.dcfg.wal_dir.join(WAL_FILE);
+            wal_end.offset = self.storage.len(&wal_path).unwrap_or(wal_end.offset);
         }
 
         let sharded = ShardedMonitor::from_monitor(monitor, self.config.n_shards);
@@ -681,7 +671,7 @@ impl Sim {
             sharded,
             None,
             Some(&self.dcfg),
-            stats.next_seq,
+            wal_end,
             Arc::clone(&self.storage) as Arc<dyn Storage>,
             Arc::clone(&self.clock) as Arc<dyn attrition_serve::Clock>,
         ) {

@@ -25,8 +25,8 @@
 //! ever visible. Between crashes every `SCORE` response is compared
 //! bit-for-bit against the reference.
 //!
-//! [`SimBug`] re-introduces known bugs (e.g. skipping torn-tail
-//! truncation) to prove the harness fails loudly, with a printed seed,
+//! [`SimBug`] re-introduces known bugs (e.g. reopening the WAL at the
+//! file's length instead of its recovered end) to prove the harness fails loudly, with a printed seed,
 //! when the stack is actually broken.
 
 pub mod env;

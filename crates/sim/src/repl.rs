@@ -67,7 +67,7 @@ use attrition_serve::engine::{DurabilityConfig, Engine};
 use attrition_serve::protocol::{format_score, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
 use attrition_serve::shard::ShardedMonitor;
-use attrition_serve::{FaultPlan, Service, SplitMix64, Storage, SyncPolicy};
+use attrition_serve::{FaultPlan, LogEnd, Service, SplitMix64, Storage, SyncPolicy};
 use attrition_types::{CustomerId, Date, ItemId};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -447,7 +447,7 @@ impl ReplSim {
             monitor,
             None,
             Some(&pcfg),
-            1,
+            LogEnd::EMPTY,
             Arc::clone(&storage_p) as Arc<dyn Storage>,
             Arc::clone(&clock) as Arc<dyn attrition_serve::Clock>,
         )
@@ -796,7 +796,7 @@ impl ReplSim {
             sharded,
             None,
             Some(&self.pcfg),
-            stats.next_seq,
+            stats.log_end(),
             Arc::clone(&self.storage_p) as Arc<dyn Storage>,
             Arc::clone(&self.clock) as Arc<dyn attrition_serve::Clock>,
         ) {

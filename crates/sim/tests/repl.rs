@@ -11,7 +11,7 @@
 //! ATTRITION_REPL_SEED=<seed> cargo test -p attrition-sim --test repl repro_repl_seed -- --nocapture
 //! ```
 
-use attrition_serve::{FaultPlan, SyncPolicy};
+use attrition_serve::{FaultPlan, LogEnd, SyncPolicy};
 use attrition_sim::{repro_repl_command, run_repl, ReplSimBug, ReplSimConfig};
 
 fn sweep_seeds() -> u64 {
@@ -143,7 +143,7 @@ fn scripted_stale_shipment_is_fenced_and_the_bug_applies_it() {
             monitor,
             None,
             Some(&pcfg),
-            1,
+            LogEnd::EMPTY,
             Arc::clone(&storage_p) as Arc<dyn Storage>,
             clock.clone(),
         )

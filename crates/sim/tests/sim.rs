@@ -40,14 +40,15 @@ fn sweep_64_seeds_under_full_fault_schedules() {
 }
 
 /// The harness must *fail* when the stack is broken: re-introduce the
-/// torn-tail bug (recovery's truncation undone, so appends land behind
-/// garbage and the next recovery loses them) and demand a violation
-/// with a reproducible seed within a small sweep.
+/// bug the preallocated log can have (the WAL resumes at the file's
+/// length instead of the recovered end, so appends land behind a hole
+/// and the next recovery loses them) and demand a violation with a
+/// reproducible seed within a small sweep.
 #[test]
 fn known_bad_schedule_fails_with_a_printed_seed() {
     let mut caught = None;
     for seed in 0..32 {
-        let report = run(&SimConfig::with_bug(seed, SimBug::KeepTornTail));
+        let report = run(&SimConfig::with_bug(seed, SimBug::ResumeAtFileLength));
         if !report.passed() {
             println!(
                 "seed {seed} caught the bug: {}\n  repro: {}",
@@ -58,8 +59,9 @@ fn known_bad_schedule_fails_with_a_printed_seed() {
             break;
         }
     }
-    let (seed, report) = caught
-        .expect("KeepTornTail survived 32 seeds — the harness cannot catch real torn-tail bugs");
+    let (seed, report) = caught.expect(
+        "ResumeAtFileLength survived 32 seeds — the harness cannot catch a misplaced log end",
+    );
     assert!(
         report.violations[0].contains("lost"),
         "the violation should be a durability loss: {:?}",
@@ -67,7 +69,7 @@ fn known_bad_schedule_fails_with_a_printed_seed() {
     );
     // The seed is a faithful repro: the same world replays the same
     // violation, bit for bit.
-    let again = run(&SimConfig::with_bug(seed, SimBug::KeepTornTail));
+    let again = run(&SimConfig::with_bug(seed, SimBug::ResumeAtFileLength));
     assert_eq!(report.violations, again.violations);
 }
 

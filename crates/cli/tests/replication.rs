@@ -11,7 +11,8 @@
 use attrition_datagen::ScenarioConfig;
 use attrition_serve::{Client, Reply};
 use attrition_store::chronological;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -78,8 +79,9 @@ fn spawn_node(args: &[&str]) -> Server {
     }
 }
 
-fn spawn_primary(wal_dir: &Path, origin: &str) -> Server {
-    spawn_node(&[
+/// Spawn `attrition serve --wal-dir`; `extra` appends/overrides flags.
+fn spawn_primary(wal_dir: &Path, origin: &str, extra: &[&str]) -> Server {
+    let mut args = vec![
         "serve",
         "--addr",
         "127.0.0.1:0",
@@ -93,7 +95,9 @@ fn spawn_primary(wal_dir: &Path, origin: &str) -> Server {
         "always",
         "--checkpoint-every",
         "64",
-    ])
+    ];
+    args.extend_from_slice(extra);
+    spawn_node(&args)
 }
 
 /// Spawn `attrition replicate`; `extra` appends/overrides flags (the
@@ -150,7 +154,7 @@ fn two_process_failover_promotes_with_bit_identical_scores() {
     let receipts: Vec<_> = chronological(&seg_store).collect();
     let origin = cfg.start.to_string();
 
-    let mut primary = spawn_primary(&primary_dir, &origin);
+    let mut primary = spawn_primary(&primary_dir, &origin, &[]);
     let mut replica = spawn_replica(
         &replica_dir,
         &origin,
@@ -289,7 +293,7 @@ fn sigkilled_primary_rejoins_and_serves_the_new_timeline_bit_identically() {
     let split_a = receipts.len() * 6 / 10;
     let split_b = receipts.len() * 8 / 10;
 
-    let mut primary = spawn_primary(&primary_dir, &origin);
+    let mut primary = spawn_primary(&primary_dir, &origin, &[]);
     let mut client = Client::connect(&primary.addr, TIMEOUT).expect("primary connects");
     let mut acked_a = 0u64;
     for receipt in &receipts[..split_a] {
@@ -463,4 +467,196 @@ fn sigkilled_primary_rejoins_and_serves_the_new_timeline_bit_identically() {
     assert!(status.success(), "graceful promoted shutdown exits zero");
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+/// A raw protocol connection: replies as the exact bytes the server
+/// wrote, so batched and unbatched answers compare byte for byte.
+struct Raw {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Raw {
+        let writer = TcpStream::connect(addr).expect("raw connection");
+        writer.set_read_timeout(Some(TIMEOUT)).unwrap();
+        writer.set_nodelay(true).unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        Raw { writer, reader }
+    }
+
+    fn line(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("reply line");
+        assert!(line.ends_with('\n'), "truncated reply {line:?}");
+        line
+    }
+
+    /// One member's reply: its first line plus the lines it announces
+    /// (`OK <n>` → n `CLOSED` lines, `RBATCH <epoch> <durable> <n>` → n
+    /// records), newlines included.
+    fn reply(&mut self) -> String {
+        let mut reply = self.line();
+        let fields: Vec<&str> = reply.split_ascii_whitespace().collect();
+        let follow = match fields.as_slice() {
+            ["OK", n] => n.parse().unwrap_or(0),
+            ["RBATCH", _, _, n] => n.parse().unwrap(),
+            _ => 0,
+        };
+        for _ in 0..follow {
+            reply += &self.line();
+        }
+        reply
+    }
+
+    fn send(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        self.reply()
+    }
+
+    fn send_batch(&mut self, members: &[String]) -> Vec<String> {
+        let mut frame = format!("BATCH {}\n", members.len());
+        for member in members {
+            frame += member;
+            frame.push('\n');
+        }
+        self.writer.write_all(frame.as_bytes()).unwrap();
+        assert_eq!(self.line(), format!("OKBATCH {}\n", members.len()));
+        members.iter().map(|_| self.reply()).collect()
+    }
+}
+
+/// Removes directories when dropped, so a failing assert cleans up too.
+struct RemoveOnDrop(Vec<PathBuf>);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        for dir in &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn stats(raw: &mut Raw) -> String {
+    raw.send("STATS")
+}
+
+/// The shipped durable server group-commits `BATCH` frames: ten frames
+/// of 64 `INGEST`s cost ten fsyncs, not 640, and every member answers
+/// byte-identically to its line sent on its own — also when a frame
+/// mixes the replication verbs a primary or a replica answers itself
+/// with the ones its engine executes.
+#[test]
+fn shipped_primary_group_commits_batch_frames_byte_identically() {
+    let batched_dir = temp_dir("batched");
+    let single_dir = temp_dir("single");
+    let replica_b_dir = temp_dir("replica_b");
+    let replica_s_dir = temp_dir("replica_s");
+    let _cleanup = RemoveOnDrop(vec![
+        batched_dir.clone(),
+        single_dir.clone(),
+        replica_b_dir.clone(),
+        replica_s_dir.clone(),
+    ]);
+    let origin = "2012-05-01";
+    let quiet = ["--checkpoint-every", "0", "--checkpoint-secs", "0"];
+    let batched = spawn_primary(&batched_dir, origin, &quiet);
+    let single = spawn_primary(&single_dir, origin, &quiet);
+    let (mut b, mut s) = (Raw::connect(&batched.addr), Raw::connect(&single.addr));
+
+    // 40 customers over four months: later receipts close earlier
+    // windows, so replies carry CLOSED lines too.
+    let lines: Vec<String> = (0..640u32)
+        .map(|i| {
+            let (customer, step) = (1 + i % 40, i / 40);
+            let (month, day) = (5 + step / 4, 1 + (step % 4) * 7);
+            format!(
+                "INGEST {customer} 2012-{month:02}-{day:02} {} {}",
+                1 + i % 7,
+                10 + (i * 3) % 11
+            )
+        })
+        .collect();
+    for frame in lines.chunks(64) {
+        let replies = b.send_batch(frame);
+        for (line, reply) in frame.iter().zip(replies) {
+            assert!(reply.starts_with("OK "), "{line} -> {reply}");
+            assert_eq!(reply, s.send(line), "{line}");
+        }
+    }
+    let json = stats(&mut b);
+    assert_eq!(stat(&json, "serve.wal.appends"), Some(640), "{json}");
+    assert_eq!(stat(&json, "serve.wal.fsyncs"), Some(10), "{json}");
+    assert_eq!(stat(&json, "serve.wal.group_commits"), Some(10), "{json}");
+    for customer in 1..=40 {
+        let score = format!("SCORE {customer}");
+        assert_eq!(b.send(&score), s.send(&score), "{score}");
+    }
+
+    // The primary's own verbs in member position, among engine verbs:
+    // the REPL sees the INGEST before it, committed.
+    let mixed: Vec<String> = [
+        "INGEST 41 2012-08-22 3 4",
+        "REPL 1 640 8",
+        "SCORE 41",
+        "REJOIN 1 0",
+        "INGEST 42 2012-08-22 5",
+        "PROMOTE",
+        "INGEST 41 2012-09-01 4",
+        "SCORE 41",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    let replies = b.send_batch(&mixed);
+    assert!(
+        replies[1].starts_with("RBATCH 1 641 1\nR 641 "),
+        "{}",
+        replies[1]
+    );
+    for (line, reply) in mixed.iter().zip(replies) {
+        assert_eq!(reply, s.send(line), "{line}");
+    }
+
+    // On a replica: writes are read-only until a PROMOTE inside the
+    // same frame, and accepted after it.
+    let replica_b = spawn_replica(
+        &replica_b_dir,
+        origin,
+        &batched.addr,
+        &["--fetch-interval-ms", "10"],
+    );
+    let replica_s = spawn_replica(
+        &replica_s_dir,
+        origin,
+        &single.addr,
+        &["--fetch-interval-ms", "10"],
+    );
+    let (mut rb, mut rs) = (Raw::connect(&replica_b.addr), Raw::connect(&replica_s.addr));
+    let deadline = Instant::now() + TIMEOUT;
+    while applied_seq(&stats(&mut rb)) != Some(643) || applied_seq(&stats(&mut rs)) != Some(643) {
+        assert!(
+            Instant::now() < deadline,
+            "replicas never caught up to LSN 643"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mixed: Vec<String> = [
+        "INGEST 43 2012-09-02 1",
+        "FLUSH 2012-09-01",
+        "SCORE 41",
+        "PROMOTE",
+        "INGEST 43 2012-09-03 2",
+        "SCORE 43",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    let replies = rb.send_batch(&mixed);
+    assert!(replies[0].starts_with("ERR read-only"), "{}", replies[0]);
+    assert_eq!(replies[3], "OK promoted 2 643\n");
+    assert!(replies[4].starts_with("OK "), "{}", replies[4]);
+    for (line, reply) in mixed.iter().zip(replies) {
+        assert_eq!(reply, rs.send(line), "{line}");
+    }
 }

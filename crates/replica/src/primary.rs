@@ -1,10 +1,12 @@
 //! The primary's front-end: the full serving [`Engine`] plus the
 //! replication verbs, behind one [`Service`].
 //!
-//! [`PrimaryService`] intercepts `REPL` (answered from the
-//! [`ReplicationLog`] capped at the engine's durable floor) and
-//! `PROMOTE` (a primary is not promotable — `ERR`), and delegates every
-//! ordinary protocol verb to the engine untouched. Plugging it into
+//! [`PrimaryService`] answers `REPL` (from the [`ReplicationLog`]
+//! capped at the engine's durable floor), `REJOIN` and `PROMOTE` (a
+//! primary is not promotable — `ERR`) in member position, and passes
+//! each maximal run of the other members of a frame to the engine as
+//! one sub-frame ([`execute_split`]): a `BATCH` of writes pays one group
+//! commit, exactly as on a bare engine. Plugging it into
 //! [`start_service`](attrition_serve::start_service) turns an ordinary
 //! durable server into a replication primary with no change to its
 //! client-facing behavior.
@@ -13,7 +15,7 @@ use crate::epoch;
 use crate::log::{ReplicationLog, Shipment};
 use crate::wire::{FetchRequest, FetchResponse, RejoinRequest, RejoinResponse};
 use attrition_serve::engine::ShutdownReport;
-use attrition_serve::{Engine, Service, Storage};
+use attrition_serve::{execute_split, BatchLines, BatchScratch, Engine, Service, Storage};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,28 +154,35 @@ impl PrimaryService {
         &self.engine
     }
 
-    fn intercepted(&self, verb: &'static str, response: String) -> (&'static str, String) {
-        self.repl_requests.fetch_add(1, Ordering::Relaxed);
-        if response.starts_with("ERR") {
-            self.repl_errors.fetch_add(1, Ordering::Relaxed);
+    /// Answer one of this front-end's own verbs.
+    fn answer_own(&self, line: &str) -> (&'static str, String) {
+        match line.split_ascii_whitespace().next() {
+            Some("REPL") => (
+                "repl",
+                answer_repl(line, self.epoch, &self.engine, &self.log),
+            ),
+            Some("REJOIN") => ("rejoin", answer_rejoin(line, self.epoch, self.epoch_start)),
+            _ => ("promote", "ERR not a replica".to_owned()),
         }
-        (verb, response)
     }
 }
 
 impl Service for PrimaryService {
-    fn respond(&self, line: &str) -> (&'static str, String) {
-        match line.split_ascii_whitespace().next() {
-            Some("REPL") => self.intercepted(
-                "repl",
-                answer_repl(line, self.epoch, &self.engine, &self.log),
-            ),
-            Some("REJOIN") => {
-                self.intercepted("rejoin", answer_rejoin(line, self.epoch, self.epoch_start))
-            }
-            Some("PROMOTE") => self.intercepted("promote", "ERR not a replica".to_owned()),
-            _ => self.engine.respond(line),
-        }
+    fn execute(&self, frame: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String) {
+        execute_split(
+            frame,
+            scratch,
+            out,
+            |line| {
+                matches!(
+                    line.split_ascii_whitespace().next(),
+                    Some("REPL" | "REJOIN" | "PROMOTE")
+                )
+            },
+            |line| self.answer_own(line),
+            (&self.repl_requests, &self.repl_errors),
+            |run, scratch, out| self.engine.execute(run, scratch, out),
+        );
     }
 
     fn request_shutdown(&self) {

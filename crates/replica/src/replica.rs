@@ -3,16 +3,19 @@
 //!
 //! ## How replay stays bit-identical
 //!
-//! A shipped record is applied by running its op line through the
-//! *same* `Engine::respond` path the primary ran — the replica's own
-//! WAL assigns the same sequence number (batches are contiguous and
-//! applied in order), the same out-of-order ingests are rejected, and
-//! the same checkpoints fire. After every record the replica asserts
-//! its log landed exactly at the record's sequence number; a mismatch
-//! is a hard error, never papered over. A record that reached the log
-//! but failed in the WAL afterwards (a failed fsync) was answered `ERR`
-//! and not applied: the replica then rebuilds its engine from its own
-//! log, so its state is again the fold of that log.
+//! A shipped `RBATCH` is applied as one frame through the *same*
+//! engine `execute` path the primary ran — one group commit for the
+//! whole batch, the replica's own WAL assigning the same sequence
+//! numbers (batches are contiguous and applied in order, and a frame's
+//! records land contiguously), the same out-of-order ingests rejected.
+//! Afterwards the replica checks every member's
+//! [`MemberOutcome::seq`](attrition_serve::MemberOutcome) against its
+//! record's sequence number; a mismatch is a hard error, never papered
+//! over. Records that reached the log but failed in the WAL afterwards
+//! (a failed fsync) were answered `ERR` and not applied: the replica
+//! then rebuilds its engine from its own log, so its state is again the
+//! fold of that log — unless the WAL is dead, which only a restart
+//! (recovery) may heal.
 //!
 //! ## Idempotency and fencing
 //!
@@ -56,9 +59,11 @@ use crate::wire::FetchResponse;
 use attrition_serve::checkpoint::{self, CheckpointFormat};
 use attrition_serve::engine::{ShutdownReport, WAL_FAILURE};
 use attrition_serve::recovery::{recover_in, Fallback, RecoveryError, RecoveryStats};
+use attrition_serve::wal::WalRecord;
 use attrition_serve::wal::WAL_FILE;
 use attrition_serve::{
-    Clock, DurabilityConfig, Engine, RealClock, RealStorage, Service, ShardedMonitor, Storage,
+    execute_split, member_responses, BatchLines, BatchScratch, Clock, DurabilityConfig, Engine,
+    RealClock, RealStorage, Service, ShardedMonitor, Storage,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -244,36 +249,50 @@ impl ReplicaEngine {
             } => {
                 self.fence(*epoch)?;
                 let inner = self.engine();
-                let mut applied = inner.wal_last_seq();
-                let (mut fresh, mut skipped) = (0u64, 0u64);
-                for r in records {
-                    if r.seq <= applied {
-                        skipped += 1; // dup/reordered delivery: idempotent skip
-                        continue;
-                    }
-                    if r.seq != applied + 1 {
-                        return Err(format!(
-                            "batch gap: record {} cannot follow applied LSN {applied}",
-                            r.seq
-                        ));
-                    }
-                    let (_verb, response) = inner.respond(&r.op);
-                    let now = inner.wal_last_seq();
-                    if now != r.seq {
-                        // The op did not log exactly one record — a
+                let applied = inner.wal_last_seq();
+                // Dup and reordered deliveries at or below the applied
+                // LSN are skipped; the rest must continue it one by one.
+                let run: Vec<&WalRecord> = records.iter().filter(|r| r.seq > applied).collect();
+                if let Some((r, _)) = run.iter().zip(applied + 1..).find(|(r, seq)| r.seq != *seq) {
+                    return Err(format!(
+                        "batch gap: record {} cannot follow applied LSN {applied}",
+                        r.seq
+                    ));
+                }
+                let ops: Vec<&str> = run.iter().map(|r| r.op.as_str()).collect();
+                let mut scratch = BatchScratch::new();
+                let mut out = String::new();
+                inner.execute(&ops, &mut scratch, &mut out);
+                let members = run
+                    .iter()
+                    .zip(scratch.outcomes())
+                    .zip(member_responses(&out));
+                for ((r, outcome), response) in members {
+                    if outcome.seq != r.seq {
+                        // The op did not log exactly this record — a
                         // non-mutating verb in the stream or a local WAL
                         // failure. Divergence, not something to skip.
                         return Err(format!(
-                            "replica log misaligned: record {} left the log at {now}",
-                            r.seq
+                            "replica log misaligned: record {} left the log at {}",
+                            r.seq,
+                            inner.wal_last_seq()
                         ));
                     }
                     if response.starts_with(WAL_FAILURE) {
-                        // Logged but not applied (the sync after the
-                        // append failed). Counting it applied would leave
-                        // the replica one record behind its own log for
-                        // good: the next fetch starts after it. Rebuild
-                        // from the log instead, which replays it.
+                        if inner.wal_crashed() {
+                            // The log is dead (a process death under
+                            // fault injection): only recovery may read it.
+                            return Err(format!(
+                                "record {} failed in the replica's wal ({response}); \
+                                 the wal is dead, restart the node",
+                                r.seq
+                            ));
+                        }
+                        // Logged but not applied (the group commit
+                        // failed). Counting it applied would leave the
+                        // replica behind its own log for good: the next
+                        // fetch starts after it. Rebuild from the log
+                        // instead, which replays it.
                         let mut guard = self
                             .inner
                             .write()
@@ -286,9 +305,9 @@ impl ReplicaEngine {
                             r.seq
                         ));
                     }
-                    applied = now;
-                    fresh += 1;
                 }
+                let (fresh, skipped) = (run.len() as u64, (records.len() - run.len()) as u64);
+                let applied = applied + fresh;
                 let lag = durable.saturating_sub(applied);
                 attrition_obs::gauge("serve.repl.applied_seq").set(applied as i64);
                 attrition_obs::gauge("serve.repl.lag_records").set(lag as i64);
@@ -530,12 +549,36 @@ impl ReplicaEngine {
         Ok((new_epoch, lsn))
     }
 
-    fn intercepted(&self, verb: &'static str, response: String) -> (&'static str, String) {
-        self.base_requests.fetch_add(1, Ordering::Relaxed);
-        if response.starts_with("ERR") {
-            self.base_errors.fetch_add(1, Ordering::Relaxed);
+    /// Answer one of this front-end's own verbs.
+    fn answer_own(&self, line: &str) -> (&'static str, String) {
+        match line.split_ascii_whitespace().next() {
+            // A replica serves its own log too — that is what lets a
+            // promoted node immediately act as the next primary (and
+            // supports chained replicas).
+            Some("REPL") => (
+                "repl",
+                answer_repl(line, self.epoch(), &self.engine(), &self.log),
+            ),
+            // A promoted node is the new primary: it answers the
+            // divergence handshake with its takeover point so deposed
+            // nodes can find and discard their divergent suffixes.
+            Some("REJOIN") => (
+                "rejoin",
+                answer_rejoin(line, self.epoch(), self.epoch_start_lsn()),
+            ),
+            Some("PROMOTE") => match self.promote() {
+                Ok((epoch, lsn)) => ("promote", format!("OK promoted {epoch} {lsn}")),
+                Err(e) => ("promote", format!("ERR promote failed: {e}")),
+            },
+            Some("SHUTDOWN") => {
+                self.request_shutdown();
+                ("shutdown", "OK draining".to_owned())
+            }
+            _ => (
+                "readonly",
+                "ERR read-only replica (PROMOTE to accept writes)".to_owned(),
+            ),
         }
-        (verb, response)
     }
 }
 
@@ -558,39 +601,23 @@ fn recovered_engine(
 }
 
 impl Service for ReplicaEngine {
-    fn respond(&self, line: &str) -> (&'static str, String) {
-        match line.split_ascii_whitespace().next() {
-            // A replica serves its own log too — that is what lets a
-            // promoted node immediately act as the next primary (and
-            // supports chained replicas).
-            Some("REPL") => self.intercepted(
-                "repl",
-                answer_repl(line, self.epoch(), &self.engine(), &self.log),
-            ),
-            // A promoted node is the new primary: it answers the
-            // divergence handshake with its takeover point so deposed
-            // nodes can find and discard their divergent suffixes.
-            Some("REJOIN") => self.intercepted(
-                "rejoin",
-                answer_rejoin(line, self.epoch(), self.epoch_start_lsn()),
-            ),
-            Some("PROMOTE") => {
-                let response = match self.promote() {
-                    Ok((epoch, lsn)) => format!("OK promoted {epoch} {lsn}"),
-                    Err(e) => format!("ERR promote failed: {e}"),
-                };
-                self.intercepted("promote", response)
-            }
-            Some("INGEST" | "FLUSH") if !self.promoted() => self.intercepted(
-                "readonly",
-                "ERR read-only replica (PROMOTE to accept writes)".to_owned(),
-            ),
-            Some("SHUTDOWN") => {
-                self.request_shutdown();
-                self.intercepted("shutdown", "OK draining".to_owned())
-            }
-            _ => self.engine().respond(line),
-        }
+    /// Writes reach the engine only once promoted; until then `INGEST`
+    /// and `FLUSH` are answered read-only in member position, so a
+    /// frame holding a `PROMOTE` accepts the writes after it.
+    fn execute(&self, frame: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String) {
+        execute_split(
+            frame,
+            scratch,
+            out,
+            |line| match line.split_ascii_whitespace().next() {
+                Some("REPL" | "REJOIN" | "PROMOTE" | "SHUTDOWN") => true,
+                Some("INGEST" | "FLUSH") => !self.promoted(),
+                _ => false,
+            },
+            |line| self.answer_own(line),
+            (&self.base_requests, &self.base_errors),
+            |run, scratch, out| self.engine().execute(run, scratch, out),
+        );
     }
 
     fn request_shutdown(&self) {

@@ -33,8 +33,25 @@ fn fallback() -> Fallback {
 
 #[test]
 fn a_failed_replica_sync_is_rebuilt_from_its_log_not_skipped() {
-    let pdir = temp_dir("primary");
-    let rdir = temp_dir("replica");
+    rebuilt_after_a_failed_sync("plain", None);
+}
+
+/// The failed sync lands in a shipment that also makes a periodic
+/// checkpoint due (every fetch of 4 records crosses the count). The
+/// records whose commit failed must not count toward it: a checkpoint
+/// written before the rebuild would cover them from a monitor that never
+/// applied them, truncate them out of the log, and the replica would
+/// never fetch them again.
+#[test]
+fn a_failed_replica_sync_does_not_trigger_a_checkpoint_that_skips_it() {
+    rebuilt_after_a_failed_sync("checkpointing", Some(4));
+}
+
+/// `replica_checkpoint_every` overrides the replica's default count
+/// trigger.
+fn rebuilt_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64>) {
+    let pdir = temp_dir(&format!("{tag}_primary"));
+    let rdir = temp_dir(&format!("{tag}_replica"));
     let dcfg = DurabilityConfig {
         checkpoint_every_requests: 0,
         checkpoint_every: None,
@@ -66,6 +83,9 @@ fn a_failed_replica_sync_is_rebuilt_from_its_log_not_skipped() {
         ..ReplicaConfig::new(&rdir, fallback())
     };
     rcfg.durability.sync_policy = SyncPolicy::Always;
+    if let Some(every) = replica_checkpoint_every {
+        rcfg.durability.checkpoint_every_requests = every;
+    }
     // The replica's very first sync — the one that would make record 1
     // durable — fails.
     rcfg.durability.fault_plan = Some(FaultPlan::fail_sync_seq(1));

@@ -27,6 +27,16 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Removes the test's directory when dropped, so a failing assert
+/// cleans up too.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The op validly appended at sequence `seq` — deterministic, so the
 /// reader can verify any served record without coordination.
 fn op_for(seq: u64) -> String {
@@ -36,6 +46,7 @@ fn op_for(seq: u64) -> String {
 #[test]
 fn concurrent_truncate_to_valid_never_leaks_torn_bytes_to_the_shipper() {
     let dir = temp_dir("concurrent");
+    let _cleanup = RemoveOnDrop(dir.clone());
     let wal_path = dir.join(WAL_FILE);
     // Create an empty log so the reader never races file creation.
     drop(Wal::open(&wal_path, SyncPolicy::Always, 1).unwrap());

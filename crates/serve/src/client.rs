@@ -24,7 +24,7 @@
 //!   [`Client::send`]; the WAL's per-record sequence numbers make
 //!   *recovery* replay exactly-once either way.
 
-use crate::env::{Clock, RealClock, RngCore, SplitMix64, Transport};
+use crate::env::{Clock, RealClock, RngCore, SplitMix64};
 use crate::protocol::{parse_score_line, ParsedScore};
 use attrition_types::Date;
 use std::collections::VecDeque;
@@ -364,26 +364,6 @@ impl Client {
         self.send(&format!("SCORE {customer}"))
     }
 
-    /// Send one raw request line and return the raw response text
-    /// (multi-line `OK <n>` responses joined with `\n`) without parsing
-    /// it into a [`Reply`] — the [`Transport`] implementation.
-    pub fn exchange_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let first = self.read_line()?;
-        let mut response = first.clone();
-        if let Some(rest) = first.strip_prefix("OK ") {
-            if let Ok(n) = rest.trim().parse::<usize>() {
-                for _ in 0..n {
-                    response.push('\n');
-                    response.push_str(&self.read_line()?);
-                }
-            }
-        }
-        Ok(response)
-    }
-
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
@@ -394,12 +374,6 @@ impl Client {
             ));
         }
         Ok(line.trim_end_matches(['\r', '\n']).to_owned())
-    }
-}
-
-impl Transport for Client {
-    fn exchange(&mut self, line: &str) -> std::io::Result<String> {
-        self.exchange_raw(line)
     }
 }
 

@@ -3,11 +3,13 @@
 //!
 //! [`Engine`] owns the sharded monitor, the durability state (WAL +
 //! checkpoint triggers) and the shutdown/request counters, and executes
-//! one request line at a time through [`Engine::respond`]. The TCP
-//! layer ([`server`](crate::server)) wraps it in an accept loop and a
-//! worker pool; the deterministic simulator (`attrition-sim`) drives it
-//! directly through an in-memory transport — same code, same WAL, same
-//! checkpoints, no sockets or threads required.
+//! one frame at a time through [`Service::execute`]: a single request
+//! line is a frame of one, a `BATCH n` frame's members a frame of n, and
+//! both take the same path — parse, log, one group commit, apply,
+//! answer. The TCP layer ([`server`](crate::server)) wraps it in an
+//! accept loop and a worker pool; the deterministic simulator
+//! (`attrition-sim`) calls that same method directly — same code, same
+//! WAL, same checkpoints, no sockets or threads required.
 //!
 //! All environment access goes through the [`env`](crate::env) seams:
 //! the engine is constructed over an `Arc<dyn Storage>` and an
@@ -19,13 +21,14 @@ use crate::checkpoint::{self, CheckpointFormat};
 use crate::env::{Clock, RealClock, RealStorage, Storage};
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    format_closed, format_closed_into, format_score, format_score_into, write_flush_line,
-    write_ingest_line, BatchLines, ParseError, ParsedRequest, Request,
+    format_closed_into, format_score_into, write_flush_line, write_ingest_line, BatchLines,
+    ParseError, ParsedRequest, Request,
 };
-use crate::shard::ShardedMonitor;
+use crate::server::Service;
+use crate::shard::{OutOfOrder, ShardedMonitor};
 use crate::wal::{self, LogEnd, SyncPolicy, Wal, WAL_FILE};
-use attrition_core::WindowClosed;
-use attrition_types::ItemId;
+use attrition_core::{StabilityPoint, WindowClosed};
+use attrition_types::{CustomerId, ItemId};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,7 +38,7 @@ use std::time::Duration;
 /// The prefix of every answer to a mutation that failed in the WAL
 /// (`ERR wal append failed: …`, `ERR wal commit failed: …`): the request
 /// was not applied, though its record may be in the log — after a failed
-/// sync it is.
+/// commit it is.
 pub const WAL_FAILURE: &str = "ERR wal ";
 
 /// Configuration of the durability subsystem (WAL + checkpoints).
@@ -97,20 +100,14 @@ struct Durable {
 }
 
 impl Durable {
-    /// Bookkeeping after a logged+applied request: fire a periodic
-    /// checkpoint when a trigger is due. Checkpoint failures degrade to
-    /// a counter + log line — the WAL still holds everything, so
-    /// serving beats dying; the next trigger retries.
-    fn after_logged(&mut self, monitor: &ShardedMonitor) {
-        self.after_logged_n(monitor, 1);
-    }
-
-    /// [`after_logged`](Durable::after_logged) for a whole batch of `n`
-    /// logged requests at once. Called only **after** the batch's apply
-    /// loop — checkpointing between log and apply would cut at an LSN
-    /// covering records the monitor has not absorbed yet, and the
-    /// truncation would lose them.
-    fn after_logged_n(&mut self, monitor: &ShardedMonitor, n: u64) {
+    /// Bookkeeping after a frame's `n` logged requests were applied:
+    /// fire a periodic checkpoint when a trigger is due. Called only
+    /// **after** the frame's apply loop — checkpointing between log and
+    /// apply would cut at an LSN covering records the monitor has not
+    /// absorbed yet, and the truncation would lose them. Checkpoint
+    /// failures degrade to a counter + log line — the WAL still holds
+    /// everything, so serving beats dying; the next trigger retries.
+    fn after_logged(&mut self, monitor: &ShardedMonitor, n: u64) {
         if n == 0 {
             return;
         }
@@ -171,7 +168,7 @@ fn lock_durable(durable: &Mutex<Durable>) -> MutexGuard<'_, Durable> {
     durable.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// What [`Engine::shutdown_flush`] reports back for the summary.
+/// What [`Service::shutdown_flush`] reports back for the summary.
 #[derive(Debug, Clone, Default)]
 pub struct ShutdownReport {
     /// Why the shutdown checkpoint failed, if it did. A durable server
@@ -190,12 +187,17 @@ pub struct ShutdownReport {
     pub checkpoints: u64,
 }
 
-/// What happened to one member of a batch frame — the attribution the
-/// deterministic simulator needs to mirror a batched run op-by-op.
+/// What happened to one member of a frame — the attribution the
+/// deterministic simulator and a replica need to follow a frame member
+/// by member, and the verb the server times a single line under.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemberOutcome {
+    /// The member's verb as used in per-verb metric names (`parse` for
+    /// a line that did not parse).
+    pub verb: &'static str,
     /// The WAL sequence number the member's record got (0 when the
-    /// member was not logged: read-only, parse error, or append failed).
+    /// member was not logged: read-only, parse error, or its append —
+    /// or an earlier member's in the same frame — failed).
     pub seq: u64,
     /// Whether a WAL record for this member is in the log file. A
     /// logged member whose group commit failed keeps `logged = true`
@@ -205,24 +207,43 @@ pub struct MemberOutcome {
     pub applied: bool,
 }
 
-/// Reusable per-connection scratch for executing batch frames: the item
-/// arena the members parse into, their parsed forms, per-member
-/// outcomes, the WAL op-line buffer, and the sorted-items buffer the
-/// apply phase uses instead of building a `Basket` per receipt. After a
-/// few warmup frames every buffer has reached its steady-state capacity
-/// and executing an `INGEST`-only batch allocates nothing.
+/// Reusable per-connection scratch for executing frames: the item arena
+/// the members parse into, their parsed forms, per-member outcomes, the
+/// WAL op-line buffer, the sorted-items buffer the apply phase uses
+/// instead of building a `Basket` per receipt, and the per-member answers
+/// the render phase formats. After a few warmup frames
+/// every buffer has reached its steady-state capacity and executing an
+/// `INGEST`-only frame allocates nothing.
 #[derive(Default)]
 pub struct BatchScratch {
     /// Shared item arena; `ParsedRequest::Ingest` ranges index into it.
     items: Vec<ItemId>,
     /// Parse result per member (`Err` carries the `ERR` message).
     parsed: Vec<Result<ParsedRequest, String>>,
-    /// Outcome per member, parallel to `parsed`.
-    outcomes: Vec<MemberOutcome>,
+    /// Outcome per member of the current top-level frame.
+    pub(crate) outcomes: Vec<MemberOutcome>,
     /// Reusable canonical op line for WAL appends.
     op_line: String,
     /// Reusable sorted+deduplicated items for one apply.
     apply_items: Vec<ItemId>,
+    /// What each member's apply produced, rendered after the lock.
+    answers: Vec<Answer>,
+}
+
+/// What applying one frame member produced: captured under the
+/// durability lock, rendered into the reply once it is released.
+enum Answer {
+    /// `ERR <message>`: the member did not parse, or its WAL append or
+    /// commit failed.
+    Refused(String),
+    Pong,
+    /// `OK <n>` and the windows an `INGEST` or `FLUSH` closed.
+    Closed(Vec<WindowClosed>),
+    OutOfOrder(OutOfOrder),
+    Score(CustomerId, Option<StabilityPoint>),
+    Snapshot(std::io::Result<Option<PathBuf>>),
+    Stats,
+    Draining,
 }
 
 impl BatchScratch {
@@ -231,14 +252,17 @@ impl BatchScratch {
         BatchScratch::default()
     }
 
-    /// Reset for a new frame, keeping capacities.
-    fn begin(&mut self) {
-        self.items.clear();
-        self.parsed.clear();
+    /// Start a new top-level frame: forget the previous frame's
+    /// outcomes, keeping capacities. [`Service::execute`] appends one
+    /// outcome per member after those already recorded, so a front-end
+    /// that splits a frame into sub-frames collects the whole frame's
+    /// outcomes in member order.
+    pub fn begin_frame(&mut self) {
         self.outcomes.clear();
     }
 
-    /// Per-member outcomes of the last executed batch, in member order.
+    /// Per-member outcomes recorded since [`begin_frame`](BatchScratch::begin_frame),
+    /// in member order.
     pub fn outcomes(&self) -> &[MemberOutcome] {
         &self.outcomes
     }
@@ -338,37 +362,8 @@ impl Engine {
         &self.monitor
     }
 
-    /// Customers tracked right now.
-    pub fn num_customers(&self) -> usize {
-        self.monitor.num_customers()
-    }
-
-    /// Requests executed (including ones answered `ERR`).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered `ERR`.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Ask the engine to drain: connection loops (and the simulator)
-    /// poll this and stop issuing requests.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether shutdown was requested (via `SHUTDOWN` or
-    /// [`request_shutdown`](Engine::request_shutdown)).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// The sequence number of the last WAL-logged request (0 when
-    /// nothing was logged or durability is off). The simulator reads
-    /// this around [`respond`](Engine::respond) to learn which LSN an
-    /// acknowledged mutation was logged at.
+    /// nothing was logged or durability is off).
     pub fn wal_last_seq(&self) -> u64 {
         match &self.durable {
             Some(durable) => lock_durable(durable).wal.last_seq(),
@@ -388,11 +383,22 @@ impl Engine {
         }
     }
 
-    /// Whether the WAL has entered its fault-injected crashed state
-    /// (every further append, sync and checkpoint fails). The
-    /// deterministic simulator polls this after a batch to detect a
-    /// mid-commit crash fault and restart the world; `false` when
-    /// durability is off.
+    /// Fsyncs this engine's WAL has issued (0 when durability is off).
+    /// Unlike `serve.wal.fsyncs`, which every engine in the process
+    /// shares, this counts one engine's log: the simulator reads it
+    /// around a frame to prove the frame paid one group commit.
+    pub fn wal_fsyncs(&self) -> u64 {
+        match &self.durable {
+            Some(durable) => lock_durable(durable).wal.fsyncs(),
+            None => 0,
+        }
+    }
+
+    /// Whether the WAL has entered its crashed state (a fault-injected
+    /// process death, or a log that could not roll back or truncate:
+    /// every further append, sync and checkpoint fails). The
+    /// deterministic simulator polls this after every frame to restart
+    /// the world; `false` when durability is off.
     pub fn wal_crashed(&self) -> bool {
         match &self.durable {
             Some(durable) => lock_durable(durable).wal.crashed(),
@@ -412,23 +418,6 @@ impl Engine {
         }
     }
 
-    /// Run a mutating request through the WAL (when durability is on)
-    /// and apply it, under one lock — append first, apply second, ack
-    /// last. An append failure means nothing was applied and the client
-    /// gets `ERR`.
-    fn logged<R>(&self, op: &str, apply: impl FnOnce() -> R) -> Result<R, String> {
-        let Some(durable) = &self.durable else {
-            return Ok(apply());
-        };
-        let mut d = lock_durable(durable);
-        if let Err(e) = d.wal.append(op) {
-            return Err(format!("wal append failed: {e}"));
-        }
-        let result = apply();
-        d.after_logged(&self.monitor);
-        Ok(result)
-    }
-
     /// Write the legacy single-file snapshot to the configured path,
     /// atomically (tmp + fsync + rename). `Ok(None)` when no path is
     /// set; errors are counted on `serve.snapshot.errors` and
@@ -446,10 +435,246 @@ impl Engine {
         Ok(Some(path.clone()))
     }
 
-    /// The shutdown epilogue: final checkpoint (durably, or the error is
-    /// surfaced — never swallowed) and legacy snapshot, plus the WAL
-    /// lifetime counters for the summary.
-    pub fn shutdown_flush(&self) -> ShutdownReport {
+    /// [`Service::respond`]: one request line as a frame of one.
+    pub fn respond(&self, line: &str) -> (&'static str, String) {
+        Service::respond(self, line)
+    }
+
+    /// [`Service::respond_batch`]: one `BATCH` frame, `OKBATCH <n>` first.
+    pub fn respond_batch(
+        &self,
+        batch: &dyn BatchLines,
+        scratch: &mut BatchScratch,
+        out: &mut String,
+    ) {
+        Service::respond_batch(self, batch, scratch, out)
+    }
+
+    /// Apply (when applicable) one frame member and capture what its
+    /// response needs. Mutating members reaching this point were either
+    /// logged *and* group-committed, or durability is off; a member whose
+    /// append or commit failed arrives as `Err` and leaves the monitor
+    /// untouched.
+    fn apply_member(
+        &self,
+        parse: &mut Result<ParsedRequest, String>,
+        outcome: &mut MemberOutcome,
+        items: &[ItemId],
+        apply_items: &mut Vec<ItemId>,
+    ) -> Answer {
+        let request = match parse {
+            Ok(request) => request,
+            Err(message) => return Answer::Refused(std::mem::take(message)),
+        };
+        match request {
+            ParsedRequest::Ping => Answer::Pong,
+            ParsedRequest::Ingest(customer, date, range) => {
+                // Same canonicalization `Basket::new` performs, without
+                // the allocation: the arena slice is wire-order.
+                apply_items.clear();
+                apply_items.extend_from_slice(&items[range.clone()]);
+                apply_items.sort_unstable();
+                apply_items.dedup();
+                match self.monitor.ingest_sorted(*customer, *date, apply_items) {
+                    Ok(closed) => {
+                        outcome.applied = true;
+                        Answer::Closed(closed)
+                    }
+                    Err(out_of_order) => Answer::OutOfOrder(out_of_order),
+                }
+            }
+            ParsedRequest::Score(customer) => {
+                Answer::Score(*customer, self.monitor.preview(*customer))
+            }
+            ParsedRequest::Flush(date) => {
+                outcome.applied = true;
+                Answer::Closed(self.monitor.flush_until(*date))
+            }
+            ParsedRequest::Snapshot => Answer::Snapshot(self.write_snapshot()),
+            ParsedRequest::Stats => Answer::Stats,
+            ParsedRequest::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                Answer::Draining
+            }
+        }
+    }
+
+    /// Append one member's response to `out`.
+    fn render(&self, answer: Answer, out: &mut String) {
+        match answer {
+            Answer::Refused(message) => {
+                let _ = write!(out, "ERR {message}");
+            }
+            Answer::Pong => out.push_str("PONG"),
+            Answer::Closed(closed) => write_closed_response(out, &closed),
+            Answer::OutOfOrder(out_of_order) => {
+                let _ = write!(out, "ERR {out_of_order}");
+            }
+            Answer::Score(customer, Some(point)) => format_score_into(out, customer, &point),
+            Answer::Score(customer, None) => {
+                let _ = write!(out, "ERR unknown customer {}", customer.raw());
+            }
+            Answer::Snapshot(Ok(Some(path))) => {
+                let bytes = self.storage.len(&path).unwrap_or(0);
+                let _ = write!(out, "OK {bytes} {}", path.display());
+            }
+            Answer::Snapshot(Ok(None)) => out.push_str("ERR no snapshot path configured"),
+            Answer::Snapshot(Err(e)) => {
+                let _ = write!(out, "ERR snapshot failed: {e}");
+            }
+            Answer::Stats => {
+                for (shard, customers) in self.monitor.customers_per_shard().iter().enumerate() {
+                    attrition_obs::gauge(&format!("serve.shard.{shard}.customers"))
+                        .set(*customers as i64);
+                }
+                let _ = write!(
+                    out,
+                    "STATS {}",
+                    attrition_obs::global().snapshot().to_json()
+                );
+            }
+            Answer::Draining => out.push_str("OK draining"),
+        }
+    }
+}
+
+impl Service for Engine {
+    /// Execute one frame. Parses every member into `scratch`'s shared
+    /// arena, appends the mutating members to the WAL and group-commits
+    /// them with **one** fsync (policy permitting), then applies and
+    /// answers each member in order — so no member is acked before the
+    /// whole group is as durable as the sync policy promises. The log
+    /// phase stops at the first failed append: the mutating members
+    /// after it are answered `ERR` and not logged, so a frame's records
+    /// always sit in the log contiguously, in member order — what lets a
+    /// replica apply a shipped batch as one frame and find each record
+    /// at its shipped sequence number.
+    ///
+    /// Appends each member's response to `out`, each followed by
+    /// `'\n'`, and one [`MemberOutcome`] per member to `scratch`.
+    fn execute(&self, frame: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String) {
+        let n = frame.len();
+        let BatchScratch {
+            items,
+            parsed,
+            outcomes,
+            op_line,
+            apply_items,
+            answers,
+        } = scratch;
+        items.clear();
+        parsed.clear();
+        let first = outcomes.len();
+        for i in 0..n {
+            let parse = Request::parse_into(frame.line(i), items).map_err(|ParseError(m)| m);
+            let verb = parse.as_ref().map_or("parse", ParsedRequest::verb);
+            outcomes.push(MemberOutcome {
+                verb,
+                ..MemberOutcome::default()
+            });
+            parsed.push(parse);
+        }
+        let outcomes = &mut outcomes[first..];
+        let mutating = parsed
+            .iter()
+            .any(|p| matches!(p, Ok(ParsedRequest::Ingest(..) | ParsedRequest::Flush(_))));
+        // Frames without a mutation never wait for the durability lock.
+        let mut durable = self.durable.as_ref().filter(|_| mutating).map(lock_durable);
+        let mut logged = 0u64;
+        if let Some(d) = durable.as_mut() {
+            // Log phase: append every mutating member, defer the sync.
+            let mut refused: Option<String> = None;
+            for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
+                let Ok(request) = parse else { continue };
+                op_line.clear();
+                match request {
+                    ParsedRequest::Ingest(customer, date, range) => {
+                        write_ingest_line(op_line, *customer, *date, &items[range.clone()]);
+                    }
+                    ParsedRequest::Flush(date) => write_flush_line(op_line, *date),
+                    _ => continue, // read-only: nothing to log
+                }
+                if let Some(message) = &refused {
+                    *parse = Err(message.clone());
+                    continue;
+                }
+                match d.wal.append_deferred(op_line) {
+                    Ok(seq) => {
+                        outcome.seq = seq;
+                        outcome.logged = true;
+                        logged += 1;
+                    }
+                    Err(e) => {
+                        let message = format!("wal append failed: {e}");
+                        *parse = Err(message.clone());
+                        refused = Some(message);
+                    }
+                }
+            }
+            // One group commit covering every append above.
+            if logged > 0 {
+                if let Err(e) = d.wal.commit() {
+                    for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter()) {
+                        if outcome.logged {
+                            // In the file but not durable: recovery may
+                            // replay the record, but the client sees ERR
+                            // and the live monitor must not apply it.
+                            *parse = Err(format!("wal commit failed: {e}"));
+                        }
+                    }
+                    // Nothing was applied, so nothing counts toward a
+                    // checkpoint: one cut now would cover these records
+                    // from a monitor that lacks them and truncate them
+                    // out of the log before a replica rebuilds from it.
+                    logged = 0;
+                }
+            }
+        }
+        // Apply phase, still under the lock so log order equals apply
+        // order and a checkpoint cannot cut mid-frame.
+        answers.clear();
+        for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
+            answers.push(self.apply_member(parse, outcome, items, apply_items));
+        }
+        if let Some(mut d) = durable {
+            d.after_logged(&self.monitor, logged);
+        }
+        // Render phase, with the lock released: the next durable write
+        // does not wait for this frame's formatting.
+        let mut errors = 0u64;
+        for answer in answers.drain(..) {
+            let at = out.len();
+            self.render(answer, out);
+            if out[at..].starts_with("ERR") {
+                errors += 1;
+            }
+            out.push('\n');
+        }
+        self.requests.fetch_add(n as u64, Ordering::Relaxed);
+        attrition_obs::counter("serve.requests").add(n as u64);
+        if errors > 0 {
+            self.errors.fetch_add(errors, Ordering::Relaxed);
+            attrition_obs::counter("serve.errors").add(errors);
+        }
+    }
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+    fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
+    fn errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
+    }
+    fn num_customers(&self) -> usize {
+        self.monitor.num_customers()
+    }
+    /// The final checkpoint is written durably or its error surfaced —
+    /// never swallowed.
+    fn shutdown_flush(&self) -> ShutdownReport {
         let mut report = ShutdownReport::default();
         if let Some(durable) = &self.durable {
             let mut d = lock_durable(durable);
@@ -471,271 +696,13 @@ impl Engine {
         }
         report
     }
-
-    /// Execute one request; returns `(verb, response)` where the
-    /// response may span multiple lines (`OK <n>` + `CLOSED` lines) but
-    /// never ends with a newline (the caller appends the final one).
-    pub fn respond(&self, line: &str) -> (&'static str, String) {
-        let (verb, response) = self.respond_inner(line);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        attrition_obs::counter("serve.requests").inc();
-        if response.starts_with("ERR") {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            attrition_obs::counter("serve.errors").inc();
-        }
-        (verb, response)
-    }
-
-    fn respond_inner(&self, line: &str) -> (&'static str, String) {
-        let request = match Request::parse(line) {
-            Ok(request) => request,
-            Err(ParseError(message)) => return ("parse", format!("ERR {message}")),
-        };
-        let verb = request.verb();
-        let response = match request {
-            Request::Ping => "PONG".to_owned(),
-            Request::Ingest(customer, date, items) => {
-                // Canonical op line, rebuilt (not echoed) so the WAL
-                // holds exactly what `Request::parse` will re-read at
-                // recovery.
-                let op = Request::Ingest(customer, date, items.clone()).to_line();
-                let basket = attrition_types::Basket::new(items);
-                match self.logged(&op, || self.monitor.ingest(customer, date, &basket)) {
-                    Ok(Ok(closed)) => closed_response(&closed),
-                    Ok(Err(out_of_order)) => format!("ERR {out_of_order}"),
-                    Err(wal_error) => format!("ERR {wal_error}"),
-                }
-            }
-            Request::Score(customer) => match self.monitor.preview(customer) {
-                Some(point) => format_score(customer, &point),
-                None => format!("ERR unknown customer {}", customer.raw()),
-            },
-            Request::Flush(date) => {
-                match self.logged(&format!("FLUSH {date}"), || self.monitor.flush_until(date)) {
-                    Ok(closed) => closed_response(&closed),
-                    Err(wal_error) => format!("ERR {wal_error}"),
-                }
-            }
-            Request::Snapshot => match self.write_snapshot() {
-                Ok(Some(path)) => {
-                    let bytes = self.storage.len(&path).unwrap_or(0);
-                    format!("OK {bytes} {}", path.display())
-                }
-                Ok(None) => "ERR no snapshot path configured".to_owned(),
-                Err(e) => format!("ERR snapshot failed: {e}"),
-            },
-            Request::Stats => {
-                for (shard, customers) in self.monitor.customers_per_shard().iter().enumerate() {
-                    attrition_obs::gauge(&format!("serve.shard.{shard}.customers"))
-                        .set(*customers as i64);
-                }
-                format!("STATS {}", attrition_obs::global().snapshot().to_json())
-            }
-            Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                "OK draining".to_owned()
-            }
-        };
-        (verb, response)
-    }
-
-    /// Execute one batch frame. Parses every member into `scratch`'s
-    /// shared arena, appends all mutating members to the WAL and
-    /// group-commits them with **one** fsync (policy permitting), then
-    /// applies and answers each member in order — so no member is acked
-    /// before the whole group is as durable as the sync policy promises.
-    ///
-    /// Writes the full frame body into `out`: `OKBATCH <n>` plus one
-    /// (possibly multi-line) member response per member, `'\n'`-joined,
-    /// no trailing newline (the transport appends it). Member responses
-    /// are byte-identical to what [`respond`](Engine::respond) would
-    /// have produced for the same lines sent unbatched.
-    pub fn respond_batch(
-        &self,
-        batch: &dyn BatchLines,
-        scratch: &mut BatchScratch,
-        out: &mut String,
-    ) {
-        let n = batch.len();
-        if attrition_obs::enabled() {
-            attrition_obs::global()
-                .histogram("serve.batch.size")
-                .observe(n as f64);
-        }
-        scratch.begin();
-        let BatchScratch {
-            items,
-            parsed,
-            outcomes,
-            op_line,
-            apply_items,
-        } = scratch;
-        for i in 0..n {
-            parsed.push(Request::parse_into(batch.line(i), items).map_err(|ParseError(m)| m));
-            outcomes.push(MemberOutcome::default());
-        }
-        let _ = write!(out, "OKBATCH {n}");
-        let mut errors = 0u64;
-        match &self.durable {
-            Some(durable) => {
-                let mut d = lock_durable(durable);
-                // Log phase: append every mutating member, defer the sync.
-                let mut logged = 0u64;
-                for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
-                    let Ok(request) = parse else { continue };
-                    op_line.clear();
-                    match request {
-                        ParsedRequest::Ingest(customer, date, range) => {
-                            write_ingest_line(op_line, *customer, *date, &items[range.clone()]);
-                        }
-                        ParsedRequest::Flush(date) => write_flush_line(op_line, *date),
-                        _ => continue, // read-only: nothing to log
-                    }
-                    match d.wal.append_deferred(op_line) {
-                        Ok(seq) => {
-                            outcome.seq = seq;
-                            outcome.logged = true;
-                            logged += 1;
-                        }
-                        Err(e) => *parse = Err(format!("wal append failed: {e}")),
-                    }
-                }
-                // One group commit covering every append above.
-                if let Err(e) = d.wal.commit() {
-                    for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter()) {
-                        if outcome.logged {
-                            // In the file but not durable: recovery may
-                            // replay the record, but the client sees ERR
-                            // and the live monitor must not apply it —
-                            // the single-op sync-failure semantics.
-                            *parse = Err(format!("wal commit failed: {e}"));
-                        }
-                    }
-                }
-                // Apply phase, still under the lock so log order equals
-                // apply order and a checkpoint cannot cut mid-batch.
-                for (parse, outcome) in parsed.iter().zip(outcomes.iter_mut()) {
-                    out.push('\n');
-                    let at = out.len();
-                    self.member_response(parse, outcome, items, apply_items, out);
-                    if out[at..].starts_with("ERR") {
-                        errors += 1;
-                    }
-                }
-                d.after_logged_n(&self.monitor, logged);
-            }
-            None => {
-                for (parse, outcome) in parsed.iter().zip(outcomes.iter_mut()) {
-                    out.push('\n');
-                    let at = out.len();
-                    self.member_response(parse, outcome, items, apply_items, out);
-                    if out[at..].starts_with("ERR") {
-                        errors += 1;
-                    }
-                }
-            }
-        }
-        self.requests.fetch_add(n as u64, Ordering::Relaxed);
-        attrition_obs::counter("serve.requests").add(n as u64);
-        if errors > 0 {
-            self.errors.fetch_add(errors, Ordering::Relaxed);
-            attrition_obs::counter("serve.errors").add(errors);
-        }
-    }
-
-    /// Apply (when applicable) and answer one batch member, appending
-    /// the response to `out`. Mutating members reaching this point were
-    /// either logged *and* group-committed, or durability is off; a
-    /// member whose append or commit failed arrives as `Err` and is
-    /// answered without touching the monitor.
-    fn member_response(
-        &self,
-        parse: &Result<ParsedRequest, String>,
-        outcome: &mut MemberOutcome,
-        items: &[ItemId],
-        apply_items: &mut Vec<ItemId>,
-        out: &mut String,
-    ) {
-        let request = match parse {
-            Ok(request) => request,
-            Err(message) => {
-                let _ = write!(out, "ERR {message}");
-                return;
-            }
-        };
-        match request {
-            ParsedRequest::Ping => out.push_str("PONG"),
-            ParsedRequest::Ingest(customer, date, range) => {
-                // Same canonicalization `Basket::new` performs, without
-                // the allocation: the arena slice is wire-order.
-                apply_items.clear();
-                apply_items.extend_from_slice(&items[range.clone()]);
-                apply_items.sort_unstable();
-                apply_items.dedup();
-                match self.monitor.ingest_sorted(*customer, *date, apply_items) {
-                    Ok(closed) => {
-                        outcome.applied = true;
-                        write_closed_response(out, &closed);
-                    }
-                    Err(out_of_order) => {
-                        let _ = write!(out, "ERR {out_of_order}");
-                    }
-                }
-            }
-            ParsedRequest::Score(customer) => match self.monitor.preview(*customer) {
-                Some(point) => format_score_into(out, *customer, &point),
-                None => {
-                    let _ = write!(out, "ERR unknown customer {}", customer.raw());
-                }
-            },
-            ParsedRequest::Flush(date) => {
-                let closed = self.monitor.flush_until(*date);
-                outcome.applied = true;
-                write_closed_response(out, &closed);
-            }
-            ParsedRequest::Snapshot => match self.write_snapshot() {
-                Ok(Some(path)) => {
-                    let bytes = self.storage.len(&path).unwrap_or(0);
-                    let _ = write!(out, "OK {bytes} {}", path.display());
-                }
-                Ok(None) => out.push_str("ERR no snapshot path configured"),
-                Err(e) => {
-                    let _ = write!(out, "ERR snapshot failed: {e}");
-                }
-            },
-            ParsedRequest::Stats => {
-                for (shard, customers) in self.monitor.customers_per_shard().iter().enumerate() {
-                    attrition_obs::gauge(&format!("serve.shard.{shard}.customers"))
-                        .set(*customers as i64);
-                }
-                let _ = write!(
-                    out,
-                    "STATS {}",
-                    attrition_obs::global().snapshot().to_json()
-                );
-            }
-            ParsedRequest::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                out.push_str("OK draining");
-            }
-        }
-    }
 }
 
-/// [`closed_response`] writing into an existing buffer (the batch path).
+/// An `OK <n>` response followed by its `n` `CLOSED` lines.
 fn write_closed_response(out: &mut String, closed: &[WindowClosed]) {
     let _ = write!(out, "OK {}", closed.len());
     for window in closed {
         out.push('\n');
         format_closed_into(out, window);
     }
-}
-
-fn closed_response(closed: &[WindowClosed]) -> String {
-    let mut out = format!("OK {}", closed.len());
-    for window in closed {
-        out.push('\n');
-        out.push_str(&format_closed(window));
-    }
-    out
 }

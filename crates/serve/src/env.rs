@@ -96,22 +96,6 @@ impl RngCore for SplitMix64 {
     }
 }
 
-/// One request/response exchange with a scoring server, from the
-/// client's side. The real implementation is the TCP
-/// [`Client`](crate::client::Client) (one newline-delimited request,
-/// one possibly multi-line response); the simulator's implementation
-/// routes the line through its event queue into the
-/// [`Engine`](crate::engine::Engine) directly, drawing seeded message
-/// faults (drop/duplicate/delay) on the way.
-pub trait Transport {
-    /// Send one request line (no trailing newline) and return the full
-    /// response text (multi-line responses joined with `\n`, no
-    /// trailing newline). An `Err` means the message or its response
-    /// was lost — the caller cannot know whether the server executed
-    /// the request.
-    fn exchange(&mut self, line: &str) -> io::Result<String>;
-}
-
 /// The filesystem operations the WAL, checkpoints and recovery need —
 /// expressed by path so the trait stays object-safe. The semantics
 /// mirror POSIX closely enough that the simulator can model the crash

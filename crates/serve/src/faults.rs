@@ -8,7 +8,8 @@
 //! - **fail the Nth append** — the write returns an injected I/O error
 //!   and nothing reaches the file, exercising the server's
 //!   "no ack without a logged record" path;
-//! - **crash after the Nth append** — the log freezes exactly as a
+//! - **crash after the Nth append** — once the commit of the group
+//!   holding the Nth append has synced, the log freezes exactly as a
 //!   `SIGKILL` would leave it (every later append, sync and checkpoint
 //!   fails), so a test can drop the server and recover from the files;
 //! - **tear the tail at the crash** — additionally cuts the file
@@ -48,9 +49,11 @@ pub struct FaultPlan {
     /// Fail this append (1-based count of append *attempts*) with an
     /// injected error, writing nothing. Later appends succeed again.
     pub fail_append: Option<u64>,
-    /// After this many *successful* appends, simulate process death:
-    /// the WAL enters a crashed state where every subsequent append,
-    /// sync and checkpoint returns an error.
+    /// After this many *successful* appends, simulate process death at
+    /// the end of the commit that covers the last of them (after its
+    /// sync, so that group is acked): the WAL enters a crashed state
+    /// where every subsequent append, sync and checkpoint returns an
+    /// error.
     pub crash_after_appends: Option<u64>,
     /// At the simulated crash, cut the file this many bytes short of
     /// the log's logical end (the end of its last frame, not the zero
@@ -144,19 +147,6 @@ impl FaultPlan {
             crash_commit_per_mille: 12,
             ..FaultPlan::default()
         }
-    }
-
-    /// True when any stochastic rate is set (consumers can skip rng
-    /// draws entirely for all-zero plans, keeping the deterministic
-    /// one-shot paths byte-for-byte identical to before).
-    pub fn is_stochastic(&self) -> bool {
-        self.fail_append_per_mille != 0
-            || self.torn_append_per_mille != 0
-            || self.drop_per_mille != 0
-            || self.dup_per_mille != 0
-            || self.delay_per_mille != 0
-            || self.crash_per_mille != 0
-            || self.crash_commit_per_mille != 0
     }
 
     /// Draw: should this append fail cleanly (nothing written)?

@@ -68,16 +68,17 @@ pub mod wal;
 pub use checkpoint::CheckpointFormat;
 pub use client::{Client, Pipeline, Reply, RetryPolicy, RetryStats};
 pub use engine::{BatchScratch, Engine, MemberOutcome, ShutdownReport};
-pub use env::{Clock, RealClock, RealStorage, RngCore, SplitMix64, Storage, Transport};
+pub use env::{Clock, RealClock, RealStorage, RngCore, SplitMix64, Storage};
 pub use faults::FaultPlan;
 pub use pool::ThreadPool;
 pub use protocol::{
-    parse_batch_header, BatchLines, PackedLines, ParsedRequest, ParsedScore, Request, MAX_BATCH,
+    member_responses, parse_batch_header, BatchLines, PackedLines, ParsedRequest, ParsedScore,
+    Request, MAX_BATCH,
 };
 pub use recovery::{recover, Fallback, RecoveryError, RecoveryStats};
 pub use server::{
-    install_sigint_handler, start, start_resumed, start_service, start_with, DurabilityConfig,
-    ServerConfig, ServerHandle, ServerSummary, Service,
+    execute_split, install_sigint_handler, start, start_resumed, start_service, start_with,
+    DurabilityConfig, ServerConfig, ServerHandle, ServerSummary, Service,
 };
 pub use shard::{OutOfOrder, ShardedMonitor};
 pub use wal::{LogEnd, SyncPolicy};

@@ -205,19 +205,6 @@ impl Request {
             Request::Shutdown => "SHUTDOWN".to_owned(),
         }
     }
-
-    /// The verb name, as used in per-verb metric names.
-    pub fn verb(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Ingest(..) => "ingest",
-            Request::Score(_) => "score",
-            Request::Flush(_) => "flush",
-            Request::Snapshot => "snapshot",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-        }
-    }
 }
 
 /// Append a canonical `INGEST` line (no newline) to `out` — the exact
@@ -275,10 +262,11 @@ pub fn parse_batch_header(line: &str) -> Option<Result<usize, ParseError>> {
     })())
 }
 
-/// The member lines of one batch frame, however they are stored. The
-/// server hands the engine a [`PackedLines`] view over its reusable
-/// per-connection buffers; tests and simple callers can pass a
-/// `Vec<String>`. Object-safe so `dyn Service` can take batches.
+/// The member lines of one frame, however they are stored. The server
+/// hands the engine a [`PackedLines`] view over its reusable
+/// per-connection buffers (a single request line is a pack of one);
+/// tests and simple callers can pass a `Vec<String>`. Object-safe so
+/// `dyn Service` can take frames.
 pub trait BatchLines {
     /// Number of member lines.
     fn len(&self) -> usize;
@@ -316,13 +304,36 @@ impl BatchLines for PackedLines<'_> {
     }
 }
 
-impl BatchLines for Vec<String> {
+impl<S: AsRef<str>> BatchLines for Vec<S> {
     fn len(&self) -> usize {
         self.as_slice().len()
     }
     fn line(&self, i: usize) -> &str {
-        &self[i]
+        self[i].as_ref()
     }
+}
+
+/// Split a frame body — member responses, `'\n'`-separated — back into
+/// one response per member. Member responses are self-describing
+/// (`OK <n>` announces `n` follow-up `CLOSED` lines), so the split needs
+/// no other framing; each item keeps its inner newlines and drops the
+/// separator after it.
+pub fn member_responses(body: &str) -> impl Iterator<Item = &str> {
+    let mut rest = body;
+    std::iter::from_fn(move || {
+        let first = rest.split('\n').next().filter(|line| !line.is_empty())?;
+        let follow = first
+            .strip_prefix("OK ")
+            .and_then(|count| count.parse::<usize>().ok())
+            .unwrap_or(0);
+        let end = rest
+            .match_indices('\n')
+            .nth(follow)
+            .map_or(rest.len(), |(at, _)| at);
+        let (member, tail) = rest.split_at(end);
+        rest = tail.strip_prefix('\n').unwrap_or(tail);
+        Some(member)
+    })
 }
 
 fn parse_customer(field: Option<&str>) -> Result<CustomerId, ParseError> {
@@ -572,6 +583,19 @@ mod tests {
     }
 
     #[test]
+    fn member_responses_split_multi_line_members() {
+        let body = "PONG\nOK 2\nCLOSED a\nCLOSED b\nERR nope\n";
+        let members: Vec<&str> = member_responses(body).collect();
+        assert_eq!(
+            members,
+            vec!["PONG", "OK 2\nCLOSED a\nCLOSED b", "ERR nope"]
+        );
+        let joined: Vec<&str> = member_responses("OK 0\nOK 1\nCLOSED c").collect();
+        assert_eq!(joined, vec!["OK 0", "OK 1\nCLOSED c"]);
+        assert_eq!(member_responses("").count(), 0);
+    }
+
+    #[test]
     fn write_helpers_match_to_line() {
         let reqs = [
             Request::parse("INGEST 7 2012-05-02 5 3 5 1").unwrap(),
@@ -591,9 +615,11 @@ mod tests {
 
     #[test]
     fn verb_names_cover_all_requests() {
-        assert_eq!(Request::Ping.verb(), "ping");
-        assert_eq!(Request::Snapshot.verb(), "snapshot");
-        assert_eq!(Request::parse("FLUSH 2013-01-01").unwrap().verb(), "flush");
+        let mut items = Vec::new();
+        let mut verb = |line| Request::parse_into(line, &mut items).unwrap().verb();
+        assert_eq!(verb("PING"), "ping");
+        assert_eq!(verb("SNAPSHOT"), "snapshot");
+        assert_eq!(verb("FLUSH 2013-01-01"), "flush");
     }
 
     #[test]

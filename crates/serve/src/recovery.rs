@@ -31,6 +31,7 @@
 use crate::checkpoint::{self, CheckpointError};
 use crate::env::{RealStorage, Storage};
 use crate::protocol::{ParsedRequest, Request};
+use crate::shard::check_order;
 use crate::wal::{self, Frames, LogEnd, WAL_FILE};
 use attrition_core::{StabilityMonitor, StabilityParams};
 use attrition_store::WindowSpec;
@@ -287,17 +288,9 @@ pub fn recover_in(
             })?;
         match request {
             ParsedRequest::Ingest(customer, date, _) => {
-                // Mirror the live server's out-of-order rejection
-                // (`ShardedMonitor::ingest`): a record the server
+                // The live server's out-of-order rule: a record it
                 // answered `ERR` to must not mutate state on replay.
-                let rejected = match (
-                    monitor.spec().window_of(date),
-                    monitor.current_window(customer),
-                ) {
-                    (Some(window), Some(current)) => window.raw() < current,
-                    _ => false,
-                };
-                if rejected {
+                if check_order(&monitor, customer, date).is_err() {
                     stats.out_of_order += 1;
                     continue;
                 }

@@ -26,9 +26,12 @@
 //! do not), which is the honest cost of a single log file: under
 //! `--sync-policy always` the fsync, not the lock, dominates. A client
 //! amortizes that fsync with `BATCH` frames (DESIGN §14): all mutating
-//! members of one frame share one group-commit fsync.
+//! members of one frame share one group-commit fsync. Every frame — a
+//! single line is a frame of one — reaches the service through the one
+//! method [`Service::execute`], so no front-end can fall back to one
+//! fsync per member.
 
-use crate::engine::{BatchScratch, Engine, ShutdownReport};
+use crate::engine::{BatchScratch, Engine, MemberOutcome, ShutdownReport};
 use crate::pool::ThreadPool;
 use crate::protocol::{parse_batch_header, BatchLines, PackedLines, ParseError};
 use crate::shard::ShardedMonitor;
@@ -36,10 +39,10 @@ use attrition_core::StabilityParams;
 use attrition_obs::Counter;
 use attrition_store::WindowSpec;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, IoSlice, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,21 +54,39 @@ pub use crate::engine::DurabilityConfig;
 /// request core that speaks the newline protocol) plugs into the same
 /// TCP machinery through [`start_service`] by implementing this.
 pub trait Service: Send + Sync {
-    /// Execute one request line; returns `(verb, response)` — the
-    /// response may span multiple lines but never ends with a newline.
-    fn respond(&self, line: &str) -> (&'static str, String);
-    /// Execute one batch frame, appending `OKBATCH <n>` plus every
-    /// member response (`'\n'`-joined, no trailing newline) to `out`.
-    /// The default runs each member through [`respond`](Service::respond)
-    /// — correct for any service, without fsync amortization; the
-    /// [`Engine`] overrides it with the group-commit WAL path.
-    fn respond_batch(&self, batch: &dyn BatchLines, _scratch: &mut BatchScratch, out: &mut String) {
-        let _ = write!(out, "OKBATCH {}", batch.len());
-        for i in 0..batch.len() {
-            let (_verb, response) = self.respond(batch.line(i));
-            out.push('\n');
-            out.push_str(&response);
+    /// Execute one frame — a single request line is a frame of one, a
+    /// `BATCH n` frame's members a frame of n — with one WAL group
+    /// commit for its mutating members. Appends each member's response
+    /// to `out`, each followed by `'\n'`, and one [`MemberOutcome`] per
+    /// member to `scratch` after those already there (see
+    /// [`BatchScratch::begin_frame`]). A front-end with verbs of its own
+    /// implements this with [`execute_split`].
+    fn execute(&self, frame: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String);
+    /// One request line as a frame of one: `(verb, response)`, the
+    /// response possibly multi-line but without a trailing newline.
+    fn respond(&self, line: &str) -> (&'static str, String) {
+        let mut scratch = BatchScratch::new();
+        let mut out = String::new();
+        self.execute(
+            &PackedLines::new(line, &[(0, line.len())]),
+            &mut scratch,
+            &mut out,
+        );
+        out.pop();
+        (scratch.outcomes()[0].verb, out)
+    }
+    /// One `BATCH` frame: appends `OKBATCH <n>` plus every member
+    /// response (`'\n'`-joined, no trailing newline) to `out`.
+    fn respond_batch(&self, batch: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String) {
+        if attrition_obs::enabled() {
+            attrition_obs::global()
+                .histogram("serve.batch.size")
+                .observe(batch.len() as f64);
         }
+        let _ = writeln!(out, "OKBATCH {}", batch.len());
+        scratch.begin_frame();
+        self.execute(batch, scratch, out);
+        out.pop();
     }
     /// Ask the service to drain: connection loops poll
     /// [`shutdown_requested`](Service::shutdown_requested) and stop.
@@ -84,30 +105,61 @@ pub trait Service: Send + Sync {
     fn shutdown_flush(&self) -> ShutdownReport;
 }
 
-impl Service for Engine {
-    fn respond(&self, line: &str) -> (&'static str, String) {
-        Engine::respond(self, line)
+/// [`Service::execute`] for a front-end that answers some verbs itself
+/// (a primary's `REPL`, a replica's `PROMOTE`, …): each member `own`
+/// claims is answered by `answer` in member position, and each maximal
+/// run of the other members goes to `inner` as one sub-frame — one
+/// group commit — so every reply is byte-identical to sending the lines
+/// one at a time. `own` is asked member by member, so a `PROMOTE`
+/// changes what the members after it are. The members answered here
+/// are counted on `(requests, errors)`.
+pub fn execute_split(
+    frame: &dyn BatchLines,
+    scratch: &mut BatchScratch,
+    out: &mut String,
+    own: impl Fn(&str) -> bool,
+    answer: impl Fn(&str) -> (&'static str, String),
+    (requests, errors): (&AtomicU64, &AtomicU64),
+    inner: impl Fn(&dyn BatchLines, &mut BatchScratch, &mut String),
+) {
+    let n = frame.len();
+    let mut start = 0;
+    while start < n {
+        let line = frame.line(start);
+        if own(line) {
+            let (verb, response) = answer(line);
+            requests.fetch_add(1, Ordering::Relaxed);
+            if response.starts_with("ERR") {
+                errors.fetch_add(1, Ordering::Relaxed);
+            }
+            out.push_str(&response);
+            out.push('\n');
+            scratch.outcomes.push(MemberOutcome {
+                verb,
+                ..MemberOutcome::default()
+            });
+            start += 1;
+        } else {
+            let end = (start + 1..n).find(|&i| own(frame.line(i))).unwrap_or(n);
+            inner(&SubFrame { frame, start, end }, scratch, out);
+            start = end;
+        }
     }
-    fn respond_batch(&self, batch: &dyn BatchLines, scratch: &mut BatchScratch, out: &mut String) {
-        Engine::respond_batch(self, batch, scratch, out)
+}
+
+/// Members `start..end` of a frame, as a frame of their own.
+struct SubFrame<'a> {
+    frame: &'a dyn BatchLines,
+    start: usize,
+    end: usize,
+}
+
+impl BatchLines for SubFrame<'_> {
+    fn len(&self) -> usize {
+        self.end - self.start
     }
-    fn request_shutdown(&self) {
-        Engine::request_shutdown(self)
-    }
-    fn shutdown_requested(&self) -> bool {
-        Engine::shutdown_requested(self)
-    }
-    fn requests(&self) -> u64 {
-        Engine::requests(self)
-    }
-    fn errors(&self) -> u64 {
-        Engine::errors(self)
-    }
-    fn num_customers(&self) -> usize {
-        Engine::num_customers(self)
-    }
-    fn shutdown_flush(&self) -> ShutdownReport {
-        Engine::shutdown_flush(self)
+    fn line(&self, i: usize) -> &str {
+        self.frame.line(self.start + i)
     }
 }
 
@@ -453,33 +505,6 @@ fn latency_metric(verb: &str) -> &'static str {
     }
 }
 
-/// Write one response frame — `body` plus the terminating newline —
-/// directly to the socket with a vectored write (normally one syscall,
-/// no userspace copy into a combined buffer).
-fn write_frame(writer: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    let total = body.len() + 1;
-    let mut written = 0usize;
-    while written < total {
-        let result = if written < body.len() {
-            writer.write_vectored(&[IoSlice::new(&body[written..]), IoSlice::new(b"\n")])
-        } else {
-            writer.write(b"\n")
-        };
-        match result {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write whole response frame",
-                ))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 /// How reading a batch frame's member lines ended.
 enum BatchRead {
     /// All `n` members read into the pack, ready to execute.
@@ -576,12 +601,12 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) -> std::io::Result
                 return Ok(()); // idle past the read timeout
             }
             Frame::TooLong => {
-                let _ = write!(out, "ERR line too long (max {MAX_LINE_BYTES} bytes)");
+                let _ = writeln!(out, "ERR line too long (max {MAX_LINE_BYTES} bytes)");
             }
             Frame::Line => {
                 bytes_read.add(buf.len() as u64 + 1);
                 match std::str::from_utf8(&buf) {
-                    Err(_) => out.push_str("ERR request is not valid UTF-8"),
+                    Err(_) => out.push_str("ERR request is not valid UTF-8\n"),
                     Ok(line) => {
                         let line = line.trim_end_matches('\r');
                         if line.is_empty() {
@@ -589,7 +614,7 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) -> std::io::Result
                         }
                         match parse_batch_header(line) {
                             Some(Err(ParseError(message))) => {
-                                let _ = write!(out, "ERR {message}");
+                                let _ = writeln!(out, "ERR {message}");
                             }
                             Some(Ok(n)) => {
                                 match read_batch_members(
@@ -602,12 +627,13 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) -> std::io::Result
                                 )? {
                                     BatchRead::Disconnected => return Ok(()),
                                     BatchRead::Invalid(message) => {
-                                        let _ = write!(out, "ERR {message}");
+                                        let _ = writeln!(out, "ERR {message}");
                                     }
                                     BatchRead::Complete => {
                                         let started = Instant::now();
                                         let packed = PackedLines::new(&batch_buf, &bounds);
                                         service.respond_batch(&packed, &mut scratch, &mut out);
+                                        out.push('\n');
                                         attrition_obs::observe_ms(
                                             "serve.latency.batch",
                                             started.elapsed().as_secs_f64() * 1e3,
@@ -617,20 +643,25 @@ fn serve_connection(stream: TcpStream, service: &dyn Service) -> std::io::Result
                             }
                             None => {
                                 let started = Instant::now();
-                                let (verb, response) = service.respond(line);
+                                scratch.begin_frame();
+                                let one = [(0, line.len())];
+                                service.execute(
+                                    &PackedLines::new(line, &one),
+                                    &mut scratch,
+                                    &mut out,
+                                );
                                 attrition_obs::observe_ms(
-                                    latency_metric(verb),
+                                    latency_metric(scratch.outcomes()[0].verb),
                                     started.elapsed().as_secs_f64() * 1e3,
                                 );
-                                out.push_str(&response);
                             }
                         }
                     }
                 }
             }
         }
-        write_frame(&mut writer, out.as_bytes())?;
-        bytes_written.add(out.len() as u64 + 1);
+        writer.write_all(out.as_bytes())?;
+        bytes_written.add(out.len() as u64);
         if service.shutdown_requested() {
             return Ok(());
         }

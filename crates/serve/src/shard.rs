@@ -75,35 +75,29 @@ impl ShardedMonitor {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a customer routes to. Deterministic across restarts
     /// (pure function of the id and the shard count).
     pub fn shard_of(&self, customer: CustomerId) -> usize {
         shard_of(customer, self.shards.len())
     }
 
-    /// Ingest one receipt, locking only the owning shard. Out-of-order
-    /// receipts (per customer) are rejected instead of panicking the
-    /// worker, so one misbehaving client cannot poison a shard.
+    /// [`ingest_sorted`](ShardedMonitor::ingest_sorted) over a [`Basket`],
+    /// whose items are already sorted and deduplicated.
     pub fn ingest(
         &self,
         customer: CustomerId,
         date: Date,
         basket: &Basket,
     ) -> Result<Vec<WindowClosed>, OutOfOrder> {
-        let mut shard = lock(&self.shards[self.shard_of(customer)]);
-        Self::check_order(&shard, customer, date)?;
-        Ok(shard.ingest(customer, date, basket))
+        self.ingest_sorted(customer, date, basket.items())
     }
 
-    /// [`ingest`](ShardedMonitor::ingest) over a pre-sorted,
-    /// deduplicated item slice — the batch path's entry point, which
-    /// reuses one scratch buffer instead of building a [`Basket`] per
-    /// receipt. Scores are bit-identical to `ingest`.
+    /// Ingest one receipt over a sorted, deduplicated item slice (a
+    /// [`Basket`]'s canonical form, which the engine builds in a reused
+    /// scratch buffer), locking only the owning shard. Out-of-order
+    /// receipts (per customer) are rejected by [`check_order`] instead
+    /// of panicking the worker, so one misbehaving client cannot poison
+    /// a shard.
     pub fn ingest_sorted(
         &self,
         customer: CustomerId,
@@ -111,31 +105,8 @@ impl ShardedMonitor {
         items: &[attrition_types::ItemId],
     ) -> Result<Vec<WindowClosed>, OutOfOrder> {
         let mut shard = lock(&self.shards[self.shard_of(customer)]);
-        Self::check_order(&shard, customer, date)?;
+        check_order(&shard, customer, date)?;
         Ok(shard.ingest_sorted(customer, date, items))
-    }
-
-    /// The out-of-order guard shared by both ingest paths. Uses the
-    /// cheap [`StabilityMonitor::current_window`] accessor — a full
-    /// `preview()` clones pending items and computes significance,
-    /// which is pure waste on every in-order receipt.
-    fn check_order(
-        shard: &StabilityMonitor,
-        customer: CustomerId,
-        date: Date,
-    ) -> Result<(), OutOfOrder> {
-        if let (Some(window), Some(current)) =
-            (shard.spec().window_of(date), shard.current_window(customer))
-        {
-            if window.raw() < current {
-                return Err(OutOfOrder {
-                    customer,
-                    got: window.raw(),
-                    current,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Live stability of a customer's current window.
@@ -263,6 +234,33 @@ impl ShardedMonitor {
 
 fn shard_of(customer: CustomerId, n_shards: usize) -> usize {
     (customer.raw().wrapping_mul(HASH) >> 32) as usize % n_shards
+}
+
+/// The out-of-order rule: a receipt whose window precedes the
+/// customer's current window is rejected. The live ingest path and
+/// recovery's replay both call this one function, so a record the
+/// server answered `ERR` to is skipped on replay by the same rule. Uses
+/// the cheap [`StabilityMonitor::current_window`] accessor — a full
+/// `preview()` clones pending items and computes significance, which is
+/// pure waste on every in-order receipt.
+pub(crate) fn check_order(
+    monitor: &StabilityMonitor,
+    customer: CustomerId,
+    date: Date,
+) -> Result<(), OutOfOrder> {
+    if let (Some(window), Some(current)) = (
+        monitor.spec().window_of(date),
+        monitor.current_window(customer),
+    ) {
+        if window.raw() < current {
+            return Err(OutOfOrder {
+                customer,
+                got: window.raw(),
+                current,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -442,45 +442,28 @@ impl Wal {
         })
     }
 
-    /// Append one operation; returns its sequence number. The record is
-    /// on disk (per the sync policy) when this returns — the caller may
-    /// ack. An error means nothing was acked and nothing must be applied:
-    /// a partially-written frame (torn write) is rolled back by cutting
-    /// the file back to the log's end, and a log that cannot even roll
-    /// back poisons itself rather than writing unreachable records after
-    /// garbage. A failed sync leaves the record in the file.
+    /// Append one operation and commit it — a group of one; returns its
+    /// sequence number. The record is on disk (per the sync policy) when
+    /// this returns — the caller may ack. An error means nothing was
+    /// acked and nothing must be applied: a partially-written frame
+    /// (torn write) is rolled back by cutting the file back to the log's
+    /// end, and a log that cannot even roll back poisons itself rather
+    /// than writing unreachable records after garbage. A failed sync
+    /// leaves the record in the file.
     pub fn append(&mut self, op: &str) -> std::io::Result<u64> {
-        let seq = self
-            .append_raw(op)
-            .inspect_err(|_| self.metrics.errors.inc())?;
-        let due = match self.policy {
-            SyncPolicy::Never => false,
-            SyncPolicy::Always => true,
-            SyncPolicy::Interval(n) => self.unsynced >= n,
-        };
-        if due {
-            self.sync().inspect_err(|_| self.metrics.errors.inc())?;
-        }
-        if self.faults.crash_after_appends == Some(self.appends) {
-            self.crash();
-        }
+        let seq = self.append_deferred(op)?;
+        self.commit()?;
         Ok(seq)
     }
 
-    /// [`append`](Wal::append) without the per-record policy sync — one
-    /// member of a group commit. The record is in the file (or the call
-    /// errored and nothing is), but it is **not** durable until the
-    /// group's [`commit`](Wal::commit) returns `Ok`; the caller must not
-    /// ack before then. Deterministic crash-after-N faults still fire,
-    /// at the append boundary, same as the plain path.
+    /// [`append`](Wal::append) without the commit — one member of a
+    /// group. The record is in the file (or the call errored and nothing
+    /// is), but it is **not** durable until the group's
+    /// [`commit`](Wal::commit) returns `Ok`; the caller must not ack
+    /// before then.
     pub fn append_deferred(&mut self, op: &str) -> std::io::Result<u64> {
-        let seq = self
-            .append_raw(op)
-            .inspect_err(|_| self.metrics.errors.inc())?;
-        if self.faults.crash_after_appends == Some(self.appends) {
-            self.crash();
-        }
-        Ok(seq)
+        self.append_raw(op)
+            .inspect_err(|_| self.metrics.errors.inc())
     }
 
     /// Write one frame at the log's end with fault injection and
@@ -553,9 +536,21 @@ impl Wal {
     /// mid-group); under `never` it is a no-op. An error means none of
     /// the group's records may be acked — they stay in the file and
     /// recovery will replay them, but the clients must see `ERR`.
+    ///
+    /// A scheduled `crash_after_appends` fault fires here, after the
+    /// group's sync: the group that reached the count is acked, then the
+    /// log freezes.
     pub fn commit(&mut self) -> std::io::Result<()> {
         self.commit_group()
-            .inspect_err(|_| self.metrics.errors.inc())
+            .inspect_err(|_| self.metrics.errors.inc())?;
+        if self
+            .faults
+            .crash_after_appends
+            .is_some_and(|n| self.appends >= n)
+        {
+            self.crash();
+        }
+        Ok(())
     }
 
     fn commit_group(&mut self) -> std::io::Result<()> {

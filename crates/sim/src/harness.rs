@@ -11,8 +11,9 @@
 //!
 //! ## What is real and what is simulated
 //!
-//! Real, byte-for-byte the production code: `Engine::respond` (request
-//! parsing, WAL-then-apply ordering, checkpoint triggers),
+//! Real, byte-for-byte the production code: `Service::execute`, the
+//! frame method the TCP layer calls (request parsing, WAL-then-apply
+//! ordering, one group commit per frame, checkpoint triggers),
 //! `wal.rs` framing and rollback, `checkpoint.rs` atomic writes,
 //! `recovery.rs` restore+replay. Simulated: the clock
 //! ([`SimClock`]), the disk ([`SimStorage`]), and the wire (this
@@ -40,17 +41,20 @@
 //!    (chosen per seed), so the sweep exercises recovery from both.
 //!
 //! Between crashes, every `SCORE` response is compared bit-for-bit
-//! against a live reference monitor fed the applied mutations.
+//! against a live reference monitor fed the applied mutations, and
+//! under `sync=always` every frame must pay exactly one fsync when it
+//! commits anything and none otherwise (read from the engine's own
+//! counter, [`Engine::wal_fsyncs`]).
 
 use crate::env::{SimClock, SimStorage};
 use attrition_core::{StabilityMonitor, StabilityParams};
 use attrition_serve::checkpoint::CheckpointFormat;
-use attrition_serve::engine::{BatchScratch, DurabilityConfig, Engine};
-use attrition_serve::protocol::{format_score, Request};
+use attrition_serve::engine::{BatchScratch, DurabilityConfig, Engine, MemberOutcome, WAL_FAILURE};
+use attrition_serve::protocol::{format_score, member_responses, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
 use attrition_serve::shard::ShardedMonitor;
 use attrition_serve::wal::{LogEnd, WAL_FILE};
-use attrition_serve::{FaultPlan, SplitMix64, Storage, SyncPolicy};
+use attrition_serve::{FaultPlan, Service, SplitMix64, Storage, SyncPolicy};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date, ItemId};
 use std::collections::VecDeque;
@@ -159,8 +163,9 @@ pub struct SimReport {
     pub acked: u64,
     /// Crash-restarts (faulted and the final mandatory one).
     pub crashes: u64,
-    /// Crash-restarts caused by a WAL death between a batch's appends
-    /// and its group-commit fsync (a subset of `crashes`).
+    /// Crash-restarts caused by a WAL death between a frame's appends
+    /// and its group-commit fsync — the dead WAL answered a logged
+    /// member with a WAL failure (a subset of `crashes`).
     pub mid_commit_crashes: u64,
     /// Clean shutdown-and-recover cycles.
     pub clean_restarts: u64,
@@ -218,25 +223,226 @@ pub(crate) fn spec() -> WindowSpec {
     WindowSpec::months(origin(), 1)
 }
 
-/// One scripted client frame: a single request line, or a `BATCH`
-/// frame's member lines. Transport faults (drop / duplicate / delay)
-/// act on whole frames, exactly as they would on the wire.
-#[derive(Debug, Clone)]
-enum ScriptItem {
-    Single(String),
-    Batch(Vec<String>),
-}
-
-/// A mutating request the engine logged: what the invariant checks fold
+/// A mutating request a node logged: what the invariant checks fold
 /// over after each recovery.
 #[derive(Debug)]
-struct OpEntry {
-    seq: u64,
-    line: String,
-    acked: bool,
+pub(crate) struct OpEntry {
+    pub(crate) seq: u64,
+    pub(crate) line: String,
+    pub(crate) acked: bool,
     /// The response was `OK …` (not an out-of-order or injected-fault
     /// `ERR`), i.e. the op mutated the live state.
-    applied: bool,
+    pub(crate) applied: bool,
+}
+
+/// The client-side books both worlds keep about the node they write
+/// to: every logged mutation by LSN, a live reference monitor fed the
+/// applied ones in delivery order, and the counters the reports carry.
+pub(crate) struct Ledger {
+    pub(crate) oplog: Vec<OpEntry>,
+    pub(crate) mirror: StabilityMonitor,
+    pub(crate) ops: u64,
+    pub(crate) acked: u64,
+    pub(crate) wal_records: u64,
+    pub(crate) score_checks: u64,
+    pub(crate) invariant_checks: u64,
+}
+
+impl Ledger {
+    pub(crate) fn new() -> Ledger {
+        Ledger {
+            oplog: Vec::new(),
+            mirror: fresh_monitor(),
+            ops: 0,
+            acked: 0,
+            wal_records: 0,
+            score_checks: 0,
+            invariant_checks: 0,
+        }
+    }
+
+    /// Account for one executed frame member by member, using the
+    /// node's own [`MemberOutcome`] attribution (cross-checked against
+    /// the response text): WAL sequence numbers, ack/applied tracking,
+    /// the live mirror, `SCORE` bit-identity. `fsyncs` is what the frame
+    /// cost the node's WAL under `sync=always` (`None` under other
+    /// policies): exactly one group commit when any member committed,
+    /// none otherwise. The first violation is returned.
+    pub(crate) fn account(
+        &mut self,
+        frame: &[String],
+        out: &str,
+        outcomes: &[MemberOutcome],
+        acked: bool,
+        fsyncs: Option<u64>,
+    ) -> Result<(), String> {
+        self.invariant_checks += 1;
+        if outcomes.len() != frame.len() {
+            return Err(format!(
+                "a frame of {} members came back with {} outcomes",
+                frame.len(),
+                outcomes.len()
+            ));
+        }
+        let mut committed = false;
+        for ((line, response), outcome) in frame.iter().zip(member_responses(out)).zip(outcomes) {
+            self.ops += 1;
+            if acked {
+                self.acked += 1;
+            }
+            match Request::parse(line) {
+                Ok(Request::Ingest(..)) | Ok(Request::Flush(_)) => {
+                    self.invariant_checks += 1;
+                    if outcome.applied != response.starts_with("OK") {
+                        return Err(format!(
+                            "member outcome disagrees with its response: applied={} but \
+                             response {response:?} for {line:?}",
+                            outcome.applied
+                        ));
+                    }
+                    if outcome.logged {
+                        committed |= !response.starts_with(WAL_FAILURE);
+                        self.wal_records += 1;
+                        self.oplog.push(OpEntry {
+                            seq: outcome.seq,
+                            line: line.clone(),
+                            acked,
+                            applied: outcome.applied,
+                        });
+                    } else if outcome.applied {
+                        return Err(format!(
+                            "mutation applied without a wal record: {line:?} -> {response:?}"
+                        ));
+                    }
+                    if outcome.applied {
+                        apply_accepted(&mut self.mirror, line);
+                    }
+                }
+                Ok(Request::Score(customer)) => {
+                    self.score_checks += 1;
+                    self.invariant_checks += 1;
+                    let expected = match self.mirror.preview(customer) {
+                        Some(point) => format_score(customer, &point),
+                        None => format!("ERR unknown customer {}", customer.raw()),
+                    };
+                    if response != expected {
+                        return Err(format!(
+                            "SCORE diverged from the reference monitor: got {response:?}, \
+                             expected {expected:?}"
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+        if let Some(paid) = fsyncs {
+            self.invariant_checks += 1;
+            if paid != u64::from(committed) {
+                return Err(format!(
+                    "a frame of {} members paid {paid} fsyncs under sync=always \
+                     (committed: {committed}); one group commit per frame",
+                    frame.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold the logged prefix (`seq <= floor`) into a fresh monitor —
+    /// what a node recovered or replicated to `floor` must equal
+    /// bit-for-bit.
+    pub(crate) fn fold(&self, floor: u64) -> StabilityMonitor {
+        let mut monitor = fresh_monitor();
+        for entry in &self.oplog {
+            if entry.seq <= floor {
+                apply_replayed(&mut monitor, &entry.line);
+            }
+        }
+        monitor
+    }
+}
+
+/// Execute one frame on `node` through [`Service::execute`] — the
+/// method the TCP layer calls for a single line and a `BATCH` alike —
+/// and return its body plus the per-member outcomes. With
+/// `member_by_member` each member runs as a frame of its own: the fault
+/// the trait's old member-by-member default had, planted on purpose.
+pub(crate) fn execute_frame(
+    node: &dyn Service,
+    frame: &[String],
+    member_by_member: bool,
+) -> (String, Vec<MemberOutcome>) {
+    let mut scratch = BatchScratch::new();
+    let mut out = String::new();
+    if member_by_member {
+        for line in frame {
+            node.execute(&vec![line], &mut scratch, &mut out);
+        }
+    } else {
+        node.execute(&frame.to_vec(), &mut scratch, &mut out);
+    }
+    (out, scratch.outcomes().to_vec())
+}
+
+/// One scripted client op: a mix of `INGEST` (dates advancing month by
+/// month, with occasional backdated receipts to exercise the
+/// out-of-order `ERR` path), `SCORE` (some on unknown customers),
+/// `FLUSH`, `PING`, and malformed lines.
+pub(crate) fn scripted_op(rng: &mut SplitMix64, month: i32, n_customers: u64) -> String {
+    let draw = rng.below(100);
+    if draw < 60 {
+        let customer = CustomerId::new(1 + rng.below(n_customers));
+        let m = if rng.per_mille(80) {
+            (month - 2).max(0) // backdated: may be out-of-order
+        } else {
+            month + rng.below(2) as i32
+        };
+        let (y, mo, _) = origin().add_months(m).ymd();
+        let day = 1 + rng.below(28) as u32;
+        let date = Date::from_ymd(y, mo, day).expect("clamped day is valid");
+        let items: Vec<ItemId> = (0..1 + rng.below(4))
+            .map(|_| ItemId::new(1 + rng.below(40) as u32))
+            .collect();
+        Request::Ingest(customer, date, items).to_line()
+    } else if draw < 80 {
+        let customer = CustomerId::new(1 + rng.below(n_customers + 4));
+        Request::Score(customer).to_line()
+    } else if draw < 88 {
+        let (y, mo, _) = origin().add_months(month).ymd();
+        Request::Flush(Date::from_ymd(y, mo, 1).expect("month start is valid")).to_line()
+    } else if draw < 96 {
+        "PING".to_owned()
+    } else {
+        format!("BOGUS {}", rng.below(100))
+    }
+}
+
+/// The scripted client workload, pre-generated from `rng`: `n_ops`
+/// request lines framed as a mix of single lines and `BATCH` frames of
+/// 2–6 members (~a quarter of the ops arrive batched). Transport faults
+/// (drop / duplicate / delay) act on whole frames, exactly as they
+/// would on the wire.
+pub(crate) fn script_frames(
+    rng: &mut SplitMix64,
+    n_ops: u64,
+    n_customers: u64,
+) -> VecDeque<Vec<String>> {
+    let mut frames = VecDeque::with_capacity(n_ops as usize);
+    let mut i = 0u64;
+    while i < n_ops {
+        let k = if rng.per_mille(120) {
+            2 + rng.below(5)
+        } else {
+            1
+        };
+        let mut members = Vec::with_capacity(k as usize);
+        while (members.len() as u64) < k && i < n_ops {
+            members.push(scripted_op(rng, (i / OPS_PER_MONTH) as i32, n_customers));
+            i += 1;
+        }
+        frames.push_back(members);
+    }
+    frames
 }
 
 struct Sim {
@@ -245,21 +451,13 @@ struct Sim {
     clock: Arc<SimClock>,
     dcfg: DurabilityConfig,
     engine: Engine,
-    /// Live reference: a plain monitor fed every applied mutation, in
-    /// delivery order — `SCORE` must match it bit-for-bit.
-    mirror: StabilityMonitor,
-    oplog: Vec<OpEntry>,
+    ledger: Ledger,
     transport_rng: SplitMix64,
     crash_rng: SplitMix64,
-    ops: u64,
-    acked: u64,
     crashes: u64,
     mid_commit_crashes: u64,
     clean_restarts: u64,
     transport_faults: u64,
-    score_checks: u64,
-    invariant_checks: u64,
-    wal_records: u64,
     violations: Vec<String>,
 }
 
@@ -284,7 +482,7 @@ pub(crate) fn apply_replayed(monitor: &mut StabilityMonitor, line: &str) {
         Request::Flush(date) => {
             monitor.flush_until(date);
         }
-        other => panic!("non-mutating {:?} in the op log", other.verb()),
+        other => panic!("non-mutating {other:?} in the op log"),
     }
 }
 
@@ -298,7 +496,7 @@ pub(crate) fn apply_accepted(monitor: &mut StabilityMonitor, line: &str) {
         Request::Flush(date) => {
             monitor.flush_until(date);
         }
-        other => panic!("non-mutating {:?} in the op log", other.verb()),
+        other => panic!("non-mutating {other:?} in the op log"),
     }
 }
 
@@ -338,220 +536,36 @@ impl Sim {
             clock,
             dcfg,
             engine,
-            mirror: fresh_monitor(),
-            oplog: Vec::new(),
-            ops: 0,
-            acked: 0,
+            ledger: Ledger::new(),
             crashes: 0,
             mid_commit_crashes: 0,
             clean_restarts: 0,
             transport_faults: 0,
-            score_checks: 0,
-            invariant_checks: 0,
-            wal_records: 0,
             violations: Vec::new(),
         }
-    }
-
-    /// One scripted request line for logical op index `i`: a mix of
-    /// `INGEST` (dates advancing month by month, with occasional
-    /// backdated receipts to exercise the out-of-order `ERR` path),
-    /// `SCORE` (some on unknown customers), `FLUSH`, `PING`, and
-    /// malformed lines.
-    fn script_line(&self, rng: &mut SplitMix64, i: u64) -> String {
-        let month = (i / OPS_PER_MONTH) as i32;
-        let draw = rng.below(100);
-        if draw < 60 {
-            let customer = CustomerId::new(1 + rng.below(self.config.n_customers));
-            let m = if rng.per_mille(80) {
-                (month - 2).max(0) // backdated: may be out-of-order
-            } else {
-                month + rng.below(2) as i32
-            };
-            let (y, mo, _) = origin().add_months(m).ymd();
-            let day = 1 + rng.below(28) as u32;
-            let date = Date::from_ymd(y, mo, day).expect("clamped day is valid");
-            let items: Vec<ItemId> = (0..1 + rng.below(4))
-                .map(|_| ItemId::new(1 + rng.below(40) as u32))
-                .collect();
-            Request::Ingest(customer, date, items).to_line()
-        } else if draw < 80 {
-            let customer = CustomerId::new(1 + rng.below(self.config.n_customers + 4));
-            Request::Score(customer).to_line()
-        } else if draw < 88 {
-            let (y, mo, _) = origin().add_months(month).ymd();
-            Request::Flush(Date::from_ymd(y, mo, 1).unwrap()).to_line()
-        } else if draw < 96 {
-            "PING".to_owned()
-        } else {
-            format!("BOGUS {}", rng.below(100))
-        }
-    }
-
-    /// The scripted client workload, pre-generated from the seed:
-    /// `n_ops` request lines framed as a mix of single frames and
-    /// `BATCH` frames of 2–6 members (~a quarter of the ops arrive
-    /// batched, so both the single-op and group-commit WAL paths face
-    /// every fault schedule).
-    fn script(&self) -> VecDeque<ScriptItem> {
-        let mut rng = SplitMix64::new(self.config.seed ^ 0x3077_0AD5_0000_0003);
-        let mut frames = VecDeque::with_capacity(self.config.n_ops as usize);
-        let mut i = 0u64;
-        while i < self.config.n_ops {
-            if rng.per_mille(120) {
-                let k = 2 + rng.below(5);
-                let mut members = Vec::with_capacity(k as usize);
-                while (members.len() as u64) < k && i < self.config.n_ops {
-                    members.push(self.script_line(&mut rng, i));
-                    i += 1;
-                }
-                frames.push_back(ScriptItem::Batch(members));
-            } else {
-                frames.push_back(ScriptItem::Single(self.script_line(&mut rng, i)));
-                i += 1;
-            }
-        }
-        frames
     }
 
     fn violation(&mut self, message: String) {
         self.violations.push(message);
     }
 
-    /// Execute one request against the engine (the simulated server
-    /// side) and account for it: WAL sequence attribution, ack/applied
-    /// tracking, live mirror update, `SCORE` bit-identity check.
-    fn deliver(&mut self, line: &str, acked: bool) {
-        let before = self.engine.wal_last_seq();
-        let (_verb, response) = self.engine.respond(line);
-        let after = self.engine.wal_last_seq();
-        self.ops += 1;
-        if acked {
-            self.acked += 1;
+    /// Execute one frame against the engine (the simulated server side)
+    /// and account for it member by member. Returns whether the frame's
+    /// group commit failed after its appends: a logged member was
+    /// answered with a WAL failure.
+    fn deliver(&mut self, frame: &[String], acked: bool) -> bool {
+        let fsyncs = self.engine.wal_fsyncs();
+        let (out, outcomes) = execute_frame(&self.engine, frame, false);
+        let paid = (self.config.sync_policy == SyncPolicy::Always)
+            .then(|| self.engine.wal_fsyncs() - fsyncs);
+        if let Err(violation) = self.ledger.account(frame, &out, &outcomes, acked, paid) {
+            self.violation(violation);
         }
-        match Request::parse(line) {
-            Ok(Request::Ingest(..)) | Ok(Request::Flush(_)) => {
-                let applied = response.starts_with("OK");
-                if after > before {
-                    self.wal_records += after - before;
-                    self.oplog.push(OpEntry {
-                        seq: after,
-                        line: line.to_owned(),
-                        acked,
-                        applied,
-                    });
-                } else if applied {
-                    self.violation(format!(
-                        "mutation applied without a wal record: {line:?} -> {response:?}"
-                    ));
-                }
-                if applied {
-                    apply_accepted(&mut self.mirror, line);
-                }
-            }
-            Ok(Request::Score(customer)) => {
-                self.score_checks += 1;
-                self.invariant_checks += 1;
-                let expected = match self.mirror.preview(customer) {
-                    Some(point) => format_score(customer, &point),
-                    None => format!("ERR unknown customer {}", customer.raw()),
-                };
-                if response != expected {
-                    self.violation(format!(
-                        "SCORE diverged from the reference monitor: got {response:?}, \
-                         expected {expected:?}"
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// One frame, either shape.
-    fn deliver_item(&mut self, item: &ScriptItem, acked: bool) {
-        match item {
-            ScriptItem::Single(line) => self.deliver(line, acked),
-            ScriptItem::Batch(members) => self.deliver_batch(members, acked),
-        }
-    }
-
-    /// Execute one `BATCH` frame through the real group-commit path
-    /// ([`Engine::respond_batch`]) and account for every member using
-    /// the engine's own [`MemberOutcome`] attribution — plus a
-    /// cross-check that the attribution agrees with the response text.
-    ///
-    /// [`MemberOutcome`]: attrition_serve::MemberOutcome
-    fn deliver_batch(&mut self, members: &[String], acked: bool) {
-        let batch: Vec<String> = members.to_vec();
-        let mut scratch = BatchScratch::new();
-        let mut out = String::new();
-        self.engine.respond_batch(&batch, &mut scratch, &mut out);
-        let responses = split_member_responses(&out, members.len());
-        let outcomes = scratch.outcomes().to_vec();
-        for ((line, response), outcome) in members.iter().zip(&responses).zip(&outcomes) {
-            self.ops += 1;
-            if acked {
-                self.acked += 1;
-            }
-            match Request::parse(line) {
-                Ok(Request::Ingest(..)) | Ok(Request::Flush(_)) => {
-                    self.invariant_checks += 1;
-                    if outcome.applied != response.starts_with("OK") {
-                        self.violation(format!(
-                            "batch outcome disagrees with the member response: \
-                             applied={} but response {response:?} for {line:?}",
-                            outcome.applied
-                        ));
-                        return;
-                    }
-                    if outcome.logged {
-                        self.wal_records += 1;
-                        self.oplog.push(OpEntry {
-                            seq: outcome.seq,
-                            line: line.clone(),
-                            acked,
-                            applied: outcome.applied,
-                        });
-                    } else if outcome.applied {
-                        self.violation(format!(
-                            "batch mutation applied without a wal record: {line:?} -> {response:?}"
-                        ));
-                        return;
-                    }
-                    if outcome.applied {
-                        apply_accepted(&mut self.mirror, line);
-                    }
-                }
-                Ok(Request::Score(customer)) => {
-                    self.score_checks += 1;
-                    self.invariant_checks += 1;
-                    let expected = match self.mirror.preview(customer) {
-                        Some(point) => format_score(customer, &point),
-                        None => format!("ERR unknown customer {}", customer.raw()),
-                    };
-                    if *response != expected {
-                        self.violation(format!(
-                            "batched SCORE diverged from the reference monitor: \
-                             got {response:?}, expected {expected:?}"
-                        ));
-                        return;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Fold the surviving WAL prefix (`seq <= floor`) into a fresh
-    /// monitor — what the recovered state must equal bit-for-bit.
-    fn fold_reference(&self, floor: u64) -> StabilityMonitor {
-        let mut monitor = fresh_monitor();
-        for entry in &self.oplog {
-            if entry.seq <= floor {
-                apply_replayed(&mut monitor, &entry.line);
-            }
-        }
-        monitor
+        let commit_failed = outcomes
+            .iter()
+            .zip(member_responses(&out))
+            .any(|(outcome, response)| outcome.logged && response.starts_with(WAL_FAILURE));
+        commit_failed
     }
 
     /// Kill the engine (optionally after a clean shutdown), crash the
@@ -591,7 +605,7 @@ impl Sim {
 
         // Invariant 1a: the durability floor. Nothing the sync policy
         // called durable may be lost.
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < synced_floor {
             self.violation(format!(
                 "recovery lost durable records: reached seq {floor}, but seq {synced_floor} \
@@ -602,8 +616,9 @@ impl Sim {
         // Invariant 1b: under `always`, every acknowledged applied
         // mutation is durable by contract, so it must have survived.
         if self.config.sync_policy == SyncPolicy::Always {
-            self.invariant_checks += 1;
+            self.ledger.invariant_checks += 1;
             if let Some(lost) = self
+                .ledger
                 .oplog
                 .iter()
                 .find(|e| e.acked && e.applied && e.seq > floor)
@@ -619,13 +634,13 @@ impl Sim {
         // of exactly the surviving prefix — no un-logged (in particular
         // no never-executed) record visible, out-of-order rejections
         // reproduced.
-        self.invariant_checks += 1;
-        let reference = self.fold_reference(floor);
+        self.ledger.invariant_checks += 1;
+        let reference = self.ledger.fold(floor);
         if reference.snapshot() != monitor.snapshot() {
             self.violation(format!(
                 "recovered state diverges from the acknowledged prefix at seq {floor} \
                  ({} records folded): snapshots differ",
-                self.oplog.iter().filter(|e| e.seq <= floor).count()
+                self.ledger.oplog.iter().filter(|e| e.seq <= floor).count()
             ));
             return;
         }
@@ -633,7 +648,7 @@ impl Sim {
         // re-encoded as a *binary* snapshot and restored again, must be
         // bit-identical to its text snapshot — whichever format the
         // engine was checkpointing in this run.
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         match StabilityMonitor::restore_any(&monitor.snapshot_bytes()) {
             Ok(round_tripped) => {
                 if round_tripped.snapshot() != monitor.snapshot() {
@@ -655,8 +670,8 @@ impl Sim {
 
         // Records above the floor are gone; their sequence numbers will
         // be reassigned by the reopened WAL.
-        self.oplog.retain(|e| e.seq <= floor);
-        self.mirror = reference;
+        self.ledger.oplog.retain(|e| e.seq <= floor);
+        self.ledger.mirror = reference;
 
         let mut wal_end = stats.log_end();
         if self.config.bug == Some(SimBug::ResumeAtFileLength) {
@@ -682,7 +697,9 @@ impl Sim {
 
     fn run(mut self) -> SimReport {
         let plan = self.config.faults.clone();
-        let mut pending = self.script();
+        let mut script_rng = SplitMix64::new(self.config.seed ^ 0x3077_0AD5_0000_0003);
+        let mut pending =
+            script_frames(&mut script_rng, self.config.n_ops, self.config.n_customers);
         while let Some(item) = pending.pop_front() {
             if !self.violations.is_empty() {
                 break;
@@ -697,31 +714,32 @@ impl Sim {
                 pending.insert(slot, item);
                 continue;
             }
+            let mut commit_failed = false;
             if plan.drop_message(&mut self.transport_rng) {
                 self.transport_faults += 1;
                 if self.transport_rng.below(2) == 0 {
                     // Frame lost in flight: the server never saw it.
                 } else {
                     // Response lost: executed server-side, never acked.
-                    self.deliver_item(&item, false);
+                    commit_failed = self.deliver(&item, false);
                 }
             } else {
-                self.deliver_item(&item, true);
+                commit_failed = self.deliver(&item, true);
                 if plan.duplicate_message(&mut self.transport_rng) {
                     // A duplicated frame: the server executes it twice;
                     // the client sees (one of) the responses.
                     self.transport_faults += 1;
-                    self.deliver_item(&item, true);
+                    commit_failed |= self.deliver(&item, true);
                 }
             }
             if self.violations.is_empty() {
                 if self.engine.wal_crashed() {
-                    // A fault froze the WAL — for batches, the
-                    // mid-group-commit window where a whole frame sits
-                    // in the file with none of it durable or acked.
-                    // The process is as good as dead: crash-restart and
-                    // prove the floor held.
-                    if matches!(item, ScriptItem::Batch(_)) {
+                    // A fault froze the WAL. The process is as good as
+                    // dead: crash-restart and prove the floor held. When
+                    // the frame's commit failed, this is the
+                    // mid-group-commit window where the frame sits in the
+                    // file with none of it durable or acked.
+                    if commit_failed {
                         self.mid_commit_crashes += 1;
                     }
                     self.restart(false);
@@ -740,8 +758,8 @@ impl Sim {
         let storage = self.storage.stats();
         SimReport {
             seed: self.config.seed,
-            ops: self.ops,
-            acked: self.acked,
+            ops: self.ledger.ops,
+            acked: self.ledger.acked,
             crashes: self.crashes,
             mid_commit_crashes: self.mid_commit_crashes,
             clean_restarts: self.clean_restarts,
@@ -749,9 +767,9 @@ impl Sim {
                 + storage.torn_files
                 + storage.rolled_back_ops
                 + self.crashes,
-            score_checks: self.score_checks,
-            invariant_checks: self.invariant_checks,
-            wal_records: self.wal_records,
+            score_checks: self.ledger.score_checks,
+            invariant_checks: self.ledger.invariant_checks,
+            wal_records: self.ledger.wal_records,
             customers: self.engine.num_customers(),
             violations: self.violations,
         }
@@ -763,33 +781,6 @@ impl Sim {
 /// carrying the seed and the repro command.
 pub fn run(config: &SimConfig) -> SimReport {
     Sim::new(config.clone()).run()
-}
-
-/// Split an `OKBATCH` frame body back into its per-member responses.
-/// Member responses are self-describing — `OK <n>` announces `n`
-/// follow-up `CLOSED` lines — so the split needs no other framing.
-fn split_member_responses(body: &str, n: usize) -> Vec<String> {
-    let mut lines = body.lines();
-    let header = lines.next().unwrap_or("");
-    debug_assert!(
-        header.starts_with("OKBATCH "),
-        "not a batch body: {header:?}"
-    );
-    let mut members = Vec::with_capacity(n);
-    for _ in 0..n {
-        let first = lines.next().unwrap_or("");
-        let extra = first
-            .strip_prefix("OK ")
-            .and_then(|rest| rest.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut response = first.to_owned();
-        for _ in 0..extra {
-            response.push('\n');
-            response.push_str(lines.next().unwrap_or(""));
-        }
-        members.push(response);
-    }
-    members
 }
 
 #[cfg(test)]
@@ -903,19 +894,6 @@ mod tests {
             observed += report.mid_commit_crashes;
         }
         assert!(observed > 0, "no mid-group-commit crash was ever injected");
-    }
-
-    #[test]
-    fn split_member_responses_handles_multi_line_members() {
-        let body = "OKBATCH 3\nPONG\nOK 2\nCLOSED a\nCLOSED b\nERR nope";
-        assert_eq!(
-            split_member_responses(body, 3),
-            vec![
-                "PONG".to_owned(),
-                "OK 2\nCLOSED a\nCLOSED b".to_owned(),
-                "ERR nope".to_owned()
-            ]
-        );
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //!
 //! Alongside those, the single-node invariants keep running on both
 //! nodes (durability floor on every recovery, acked-survival under
-//! `sync=always`, `SCORE` bit-identity against the reference), plus one
+//! `sync=always`, `SCORE` bit-identity against the reference, one fsync
+//! per committing frame under `sync=always`), plus one
 //! replication-specific safety check: a recovered primary must never be
-//! *behind* its replica (the durable-floor shipping cap at work).
+//! *behind* its replica (the durable-floor shipping cap at work). The
+//! client writes single lines and `BATCH` frames to the active node
+//! through [`Service::execute`], the frame method the TCP layer calls,
+//! and a node whose WAL died mid-commit is crash-restarted.
 //!
 //! - **R3 — a rejoined deposed primary carries no divergent record.**
 //!   When [`ReplSimConfig::rejoin_phase`] is on, the old primary's disk
@@ -52,10 +56,13 @@
 //! [`ReplSimBug::KeepDivergentSuffix`] does the same for the rejoin
 //! path: the deposed primary adopts the new epoch but keeps its
 //! divergent records, and R3 must catch the ghost state.
+//! [`ReplSimBug::MemberByMemberFrames`] runs the primary's frames one
+//! member at a time, and the fsync count per frame must catch it.
 
 use crate::env::{SimClock, SimStorage};
 use crate::harness::{
-    apply_accepted, apply_replayed, fresh_monitor, origin, spec, MAX_EXPLANATIONS, OPS_PER_MONTH,
+    apply_replayed, execute_frame, fresh_monitor, script_frames, scripted_op, spec, Ledger,
+    MAX_EXPLANATIONS, OPS_PER_MONTH,
 };
 use crate::net::SimNet;
 use attrition_core::{StabilityMonitor, StabilityParams};
@@ -68,8 +75,7 @@ use attrition_serve::protocol::{format_score, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
 use attrition_serve::shard::ShardedMonitor;
 use attrition_serve::{FaultPlan, LogEnd, Service, SplitMix64, Storage, SyncPolicy};
-use attrition_types::{CustomerId, Date, ItemId};
-use std::collections::VecDeque;
+use attrition_types::CustomerId;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,6 +97,11 @@ pub enum ReplSimBug {
     /// promotion LSN — ghost state the new timeline disowned — and the
     /// R3 byte-equality check must catch it.
     KeepDivergentSuffix,
+    /// Run the primary's frames one member at a time, as the `Service`
+    /// trait's old member-by-member default did: every mutating member
+    /// pays its own fsync, and the one-fsync-per-frame check under
+    /// `sync=always` must catch it.
+    MemberByMemberFrames,
 }
 
 /// One simulated replicated world. Construct via
@@ -187,7 +198,9 @@ impl ReplSimConfig {
     /// and the deposed node reliably holds a divergent suffix.
     pub fn with_bug(seed: u64, bug: ReplSimBug) -> ReplSimConfig {
         let base = match bug {
-            ReplSimBug::AcceptStaleEpoch => ReplSimConfig::for_seed(seed),
+            ReplSimBug::AcceptStaleEpoch | ReplSimBug::MemberByMemberFrames => {
+                ReplSimConfig::for_seed(seed)
+            }
             ReplSimBug::KeepDivergentSuffix => ReplSimConfig::for_rejoin_seed(seed),
         };
         ReplSimConfig {
@@ -304,15 +317,6 @@ fn fallback() -> Fallback {
     }
 }
 
-/// A mutation the active node logged, by WAL sequence number.
-#[derive(Debug)]
-struct OpEntry {
-    seq: u64,
-    line: String,
-    /// The response was `OK …`, i.e. the op mutated live state.
-    applied: bool,
-}
-
 struct ReplSim {
     config: ReplSimConfig,
     clock: Arc<SimClock>,
@@ -334,10 +338,10 @@ struct ReplSim {
     /// The rejoiner's own lossy link directions toward the new primary.
     net_req2: SimNet,
     net_resp2: SimNet,
-    /// Mutations logged on the current write timeline, ascending seq.
-    oplog: Vec<OpEntry>,
-    /// Live reference for the *active* node's state.
-    mirror: StabilityMonitor,
+    /// The client's books about the *active* node: mutations logged on
+    /// the current write timeline (ascending seq), a live reference of
+    /// its state, and the shared counters.
+    ledger: Ledger,
     /// Reference fold of the oplog up to `repl_mirror_seq` — what the
     /// replica must byte-equal at its applied LSN (invariant R2).
     repl_mirror: StabilityMonitor,
@@ -361,8 +365,6 @@ struct ReplSim {
     promoted: bool,
     transport_rng: SplitMix64,
     crash_rng: SplitMix64,
-    ops: u64,
-    wal_records: u64,
     batches_applied: u64,
     records_replicated: u64,
     records_skipped: u64,
@@ -374,12 +376,10 @@ struct ReplSim {
     failovers: u64,
     promoted_epoch: u64,
     promotion_lsn: u64,
-    score_checks: u64,
     rejoins: u64,
     divergent_discarded: u64,
     rejoin_records: u64,
     rejoined_crashes: u64,
-    invariant_checks: u64,
     violations: Vec<String>,
 }
 
@@ -497,8 +497,7 @@ impl ReplSim {
             primary: Some(primary),
             replica,
             rejoined: None,
-            oplog: Vec::new(),
-            mirror: fresh_monitor(),
+            ledger: Ledger::new(),
             repl_mirror: fresh_monitor(),
             repl_mirror_seq: 0,
             rj_mirror: fresh_monitor(),
@@ -508,8 +507,6 @@ impl ReplSim {
             deposed_epoch: 0,
             repl_acked: 0,
             promoted: false,
-            ops: 0,
-            wal_records: 0,
             batches_applied: 0,
             records_replicated: 0,
             records_skipped: 0,
@@ -521,25 +518,12 @@ impl ReplSim {
             failovers: 0,
             promoted_epoch: 0,
             promotion_lsn: 0,
-            score_checks: 0,
             rejoins: 0,
             divergent_discarded: 0,
             rejoin_records: 0,
             rejoined_crashes: 0,
-            invariant_checks: 0,
             violations: Vec::new(),
         }
-    }
-
-    /// The scripted client workload — same mix as the single-node sim.
-    fn script(&self) -> VecDeque<String> {
-        let mut rng = SplitMix64::new(self.config.seed ^ 0x3077_0AD5_0000_0013);
-        let mut lines = VecDeque::with_capacity(self.config.n_ops as usize);
-        for i in 0..self.config.n_ops {
-            let month = (i / OPS_PER_MONTH) as i32;
-            lines.push_back(scripted_op(&mut rng, month, self.config.n_customers));
-        }
-        lines
     }
 
     /// A short deterministic coda of writes for the promoted node: every
@@ -556,77 +540,59 @@ impl ReplSim {
         self.violations.push(message);
     }
 
-    fn active_last_seq(&self) -> u64 {
-        if self.promoted {
-            self.replica.applied_seq()
+    /// Execute one client frame on the active node and account for it
+    /// member by member (op log, live mirror, `SCORE` bit-identity, one
+    /// fsync per committing frame under `sync=always`).
+    fn deliver(&mut self, frame: &[String]) {
+        let (node, engine, sync, member_by_member): (&dyn Service, _, _, _) = if self.promoted {
+            let engine = self.replica.engine();
+            (&self.replica, engine, self.config.replica_sync, false)
         } else {
-            match &self.primary {
-                Some(p) => p.engine().wal_last_seq(),
-                None => 0,
-            }
-        }
-    }
-
-    /// Execute one client request against the active node and account
-    /// for it (op log, live mirror, `SCORE` bit-identity).
-    fn deliver(&mut self, line: &str) {
-        let before = self.active_last_seq();
-        let (_verb, response) = if self.promoted {
-            self.replica.respond(line)
-        } else {
-            match &self.primary {
-                Some(p) => p.respond(line),
-                None => return,
-            }
+            let Some(primary) = &self.primary else {
+                return;
+            };
+            let bug = self.config.bug == Some(ReplSimBug::MemberByMemberFrames);
+            (
+                primary,
+                Arc::clone(primary.engine()),
+                self.config.primary_sync,
+                bug,
+            )
         };
-        let after = self.active_last_seq();
-        self.ops += 1;
-        match Request::parse(line) {
-            Ok(Request::Ingest(..)) | Ok(Request::Flush(_)) => {
-                let applied = response.starts_with("OK");
-                if after > before {
-                    self.wal_records += after - before;
-                    self.oplog.push(OpEntry {
-                        seq: after,
-                        line: line.to_owned(),
-                        applied,
-                    });
-                } else if applied {
-                    self.violation(format!(
-                        "mutation applied without a wal record: {line:?} -> {response:?}"
-                    ));
-                }
-                if applied {
-                    apply_accepted(&mut self.mirror, line);
-                }
-            }
-            Ok(Request::Score(customer)) => {
-                self.score_checks += 1;
-                self.invariant_checks += 1;
-                let expected = match self.mirror.preview(customer) {
-                    Some(point) => format_score(customer, &point),
-                    None => format!("ERR unknown customer {}", customer.raw()),
-                };
-                if response != expected {
-                    self.violation(format!(
-                        "active-node SCORE diverged from the reference: got {response:?}, \
-                         expected {expected:?}"
-                    ));
-                }
-            }
-            _ => {}
+        let before = engine.wal_fsyncs();
+        let (out, outcomes) = execute_frame(node, frame, member_by_member);
+        let paid = (sync == SyncPolicy::Always).then(|| engine.wal_fsyncs() - before);
+        if let Err(violation) = self.ledger.account(frame, &out, &outcomes, true, paid) {
+            self.violation(format!("active node: {violation}"));
         }
     }
 
-    /// Fold the oplog prefix `seq <= floor` into a fresh monitor.
-    fn fold_reference(&self, floor: u64) -> StabilityMonitor {
-        let mut monitor = fresh_monitor();
-        for entry in &self.oplog {
-            if entry.seq <= floor {
-                apply_replayed(&mut monitor, &entry.line);
+    /// A WAL that died mid-commit (a fault-injected process death)
+    /// leaves its node as good as dead: crash-restart every such node,
+    /// so the floors are proven to hold through it.
+    fn restart_dead_nodes(&mut self) {
+        if self
+            .primary
+            .as_ref()
+            .is_some_and(|p| p.engine().wal_crashed())
+        {
+            self.restart_primary();
+        }
+        if self.violations.is_empty() && self.replica.engine().wal_crashed() {
+            if self.promoted {
+                self.restart_active();
+            } else {
+                self.restart_replica();
             }
         }
-        monitor
+        if self.violations.is_empty()
+            && self
+                .rejoined
+                .as_ref()
+                .is_some_and(|rj| rj.engine().wal_crashed())
+        {
+            self.restart_rejoined();
+        }
     }
 
     /// One replication round: the replica fetches, the link misbehaves,
@@ -700,13 +666,13 @@ impl ReplSim {
             self.repl_mirror = fresh_monitor();
             self.repl_mirror_seq = 0;
         }
-        for entry in &self.oplog {
+        for entry in &self.ledger.oplog {
             if entry.seq > self.repl_mirror_seq && entry.seq <= applied {
                 apply_replayed(&mut self.repl_mirror, &entry.line);
             }
         }
         self.repl_mirror_seq = applied;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         let engine = self.replica.engine();
         if engine.monitor().snapshot() != self.repl_mirror.snapshot() {
             self.violation(format!(
@@ -717,8 +683,8 @@ impl ReplSim {
         }
         // A replica answers reads: its SCOREs must be bit-identical to
         // the reference at its LSN.
-        self.score_checks += 1;
-        self.invariant_checks += 1;
+        self.ledger.score_checks += 1;
+        self.ledger.invariant_checks += 1;
         let customer = CustomerId::new(1 + self.transport_rng.below(self.config.n_customers));
         let (_verb, response) = self.replica.respond(&Request::Score(customer).to_line());
         let expected = match self.repl_mirror.preview(customer) {
@@ -751,7 +717,7 @@ impl ReplSim {
                 }
             };
         let floor = stats.next_seq - 1;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < synced_floor {
             self.violation(format!(
                 "primary recovery lost durable records: reached seq {floor}, \
@@ -760,8 +726,13 @@ impl ReplSim {
             return;
         }
         if self.config.primary_sync == SyncPolicy::Always {
-            self.invariant_checks += 1;
-            if let Some(lost) = self.oplog.iter().find(|e| e.applied && e.seq > floor) {
+            self.ledger.invariant_checks += 1;
+            if let Some(lost) = self
+                .ledger
+                .oplog
+                .iter()
+                .find(|e| e.applied && e.seq > floor)
+            {
                 self.violation(format!(
                     "acked mutation lost under sync=always: seq {} {:?}",
                     lost.seq, lost.line
@@ -772,7 +743,7 @@ impl ReplSim {
         // The durable-floor shipping cap: nothing the replica holds may
         // exceed what the primary recovered to — otherwise the two have
         // diverged histories.
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if self.replica.applied_seq() > floor {
             self.violation(format!(
                 "replica is ahead of the recovered primary: applied {} > recovered {floor} \
@@ -781,16 +752,16 @@ impl ReplSim {
             ));
             return;
         }
-        self.oplog.retain(|e| e.seq <= floor);
-        self.invariant_checks += 1;
-        let reference = self.fold_reference(floor);
+        self.ledger.oplog.retain(|e| e.seq <= floor);
+        self.ledger.invariant_checks += 1;
+        let reference = self.ledger.fold(floor);
         if reference.snapshot() != monitor.snapshot() {
             self.violation(format!(
                 "recovered primary diverges from its acknowledged prefix at seq {floor}"
             ));
             return;
         }
-        self.mirror = reference;
+        self.ledger.mirror = reference;
         let sharded = ShardedMonitor::from_monitor(monitor, self.config.n_shards);
         let engine = match Engine::open_in(
             sharded,
@@ -835,7 +806,7 @@ impl ReplSim {
         };
         self.replica = replica;
         let floor = stats.next_seq - 1;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < synced_floor {
             self.violation(format!(
                 "replica recovery lost durable records: reached seq {floor}, \
@@ -843,7 +814,7 @@ impl ReplSim {
             ));
             return;
         }
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < self.repl_acked {
             self.violation(format!(
                 "R1 violated on replica recovery: recovered to {floor}, but LSN {} \
@@ -874,7 +845,7 @@ impl ReplSim {
         };
         self.replica = replica;
         let floor = stats.next_seq - 1;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < synced_floor {
             self.violation(format!(
                 "promoted-node recovery lost durable records: reached seq {floor}, \
@@ -883,8 +854,13 @@ impl ReplSim {
             return;
         }
         if self.config.replica_sync == SyncPolicy::Always {
-            self.invariant_checks += 1;
-            if let Some(lost) = self.oplog.iter().find(|e| e.applied && e.seq > floor) {
+            self.ledger.invariant_checks += 1;
+            if let Some(lost) = self
+                .ledger
+                .oplog
+                .iter()
+                .find(|e| e.applied && e.seq > floor)
+            {
                 self.violation(format!(
                     "acked mutation lost on the promoted node under sync=always: seq {} {:?}",
                     lost.seq, lost.line
@@ -892,22 +868,22 @@ impl ReplSim {
                 return;
             }
         }
-        self.oplog.retain(|e| e.seq <= floor);
-        self.invariant_checks += 1;
-        let reference = self.fold_reference(floor);
+        self.ledger.oplog.retain(|e| e.seq <= floor);
+        self.ledger.invariant_checks += 1;
+        let reference = self.ledger.fold(floor);
         if reference.snapshot() != self.replica.engine().monitor().snapshot() {
             self.violation(format!(
                 "recovered promoted node diverges from its acknowledged prefix at seq {floor}"
             ));
             return;
         }
-        self.mirror = reference;
-        self.repl_mirror = self.fold_reference(floor);
+        self.ledger.mirror = reference;
+        self.repl_mirror = self.ledger.fold(floor);
         self.repl_mirror_seq = floor;
         match self.replica.promote() {
             Ok((epoch, lsn)) => {
                 self.promoted_epoch = epoch;
-                self.invariant_checks += 1;
+                self.ledger.invariant_checks += 1;
                 if lsn != floor {
                     self.violation(format!(
                         "re-promotion LSN {lsn} does not match the recovered floor {floor}"
@@ -952,7 +928,7 @@ impl ReplSim {
         self.deposed_epoch = epoch - 1;
         // Invariant R1: the takeover point covers every LSN whose
         // durability was acknowledged to the old primary.
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if lsn < self.repl_acked {
             self.violation(format!(
                 "R1 violated: promoted at LSN {lsn}, below the acked-durable LSN {}",
@@ -962,22 +938,22 @@ impl ReplSim {
         }
         // The new timeline: records above the takeover LSN died with
         // the old primary.
-        self.oplog.retain(|e| e.seq <= lsn);
-        self.mirror = self.fold_reference(lsn);
-        self.repl_mirror = self.fold_reference(lsn);
+        self.ledger.oplog.retain(|e| e.seq <= lsn);
+        self.ledger.mirror = self.ledger.fold(lsn);
+        self.repl_mirror = self.ledger.fold(lsn);
         self.repl_mirror_seq = lsn;
         // Invariant R2 at the promotion point, text and binary framing.
         let engine = self.replica.engine();
-        self.invariant_checks += 1;
-        if engine.monitor().snapshot() != self.mirror.snapshot() {
+        self.ledger.invariant_checks += 1;
+        if engine.monitor().snapshot() != self.ledger.mirror.snapshot() {
             self.violation(format!(
                 "R2 violated at promotion: state at LSN {lsn} is not byte-equal to the \
                  surviving log prefix"
             ));
             return;
         }
-        self.invariant_checks += 1;
-        if engine.monitor().snapshot_bytes() != self.mirror.snapshot_bytes() {
+        self.ledger.invariant_checks += 1;
+        if engine.monitor().snapshot_bytes() != self.ledger.mirror.snapshot_bytes() {
             self.violation(format!(
                 "R2 (binary) violated at promotion: snapshot bytes differ at LSN {lsn}"
             ));
@@ -1126,13 +1102,13 @@ impl ReplSim {
             self.rj_mirror = fresh_monitor();
             self.rj_mirror_seq = 0;
         }
-        for entry in &self.oplog {
+        for entry in &self.ledger.oplog {
             if entry.seq > self.rj_mirror_seq && entry.seq <= applied {
                 apply_replayed(&mut self.rj_mirror, &entry.line);
             }
         }
         self.rj_mirror_seq = applied;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if rj.engine().monitor().snapshot() != self.rj_mirror.snapshot() {
             self.violation(format!(
                 "R3 violated {context}: rejoined-node state at LSN {applied} is not \
@@ -1140,8 +1116,8 @@ impl ReplSim {
             ));
             return;
         }
-        self.score_checks += 1;
-        self.invariant_checks += 1;
+        self.ledger.score_checks += 1;
+        self.ledger.invariant_checks += 1;
         let customer = CustomerId::new(1 + self.transport_rng.below(self.config.n_customers));
         let (_verb, response) = rj.respond(&Request::Score(customer).to_line());
         let expected = match self.rj_mirror.preview(customer) {
@@ -1180,7 +1156,7 @@ impl ReplSim {
         };
         let engine = Arc::new(engine);
         let floor = stats.next_seq - 1;
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if floor < synced_floor {
             self.violation(format!(
                 "rejoined-node recovery lost durable records: reached seq {floor}, \
@@ -1213,8 +1189,11 @@ impl ReplSim {
             self.clock
                 .advance(Duration::from_millis(1 + self.transport_rng.below(40)));
             let line = scripted_op(&mut rng, month, self.config.n_customers);
-            self.deliver(&line);
+            self.deliver(&[line]);
             self.rejoin_round();
+            if self.violations.is_empty() {
+                self.restart_dead_nodes();
+            }
             if !self.violations.is_empty() {
                 return;
             }
@@ -1234,16 +1213,17 @@ impl ReplSim {
     /// to the new primary's durable floor and byte-equal to it at the
     /// same LSN, text and binary framing both.
     fn drain_rejoin(&mut self) {
-        let Some(rj) = self.rejoined.as_ref().map(Arc::clone) else {
-            self.violation("the rejoin phase ended without a rejoined node".to_owned());
-            return;
-        };
         if let Err(e) = self.replica.engine().sync_wal() {
             self.violation(format!("final sync on the promoted node failed: {e}"));
             return;
         }
         let target = self.replica.engine().wal_synced_seq();
         for _ in 0..200 {
+            // A rejoiner whose WAL died while applying is restarted, so
+            // the node to talk to is looked up each round.
+            let Some(rj) = self.rejoined.as_ref().map(Arc::clone) else {
+                break;
+            };
             if self.rj_current && rj.applied_seq() >= target {
                 break;
             }
@@ -1258,11 +1238,18 @@ impl ReplSim {
             };
             let (_verb, response) = self.replica.respond(&line);
             self.apply_rejoin_wire(&rj, &response);
+            if self.violations.is_empty() {
+                self.restart_dead_nodes();
+            }
             if !self.violations.is_empty() {
                 return;
             }
         }
-        self.invariant_checks += 1;
+        let Some(rj) = self.rejoined.as_ref().map(Arc::clone) else {
+            self.violation("the rejoin phase ended without a rejoined node".to_owned());
+            return;
+        };
+        self.ledger.invariant_checks += 1;
         if !self.rj_current || rj.applied_seq() < target {
             self.violation(format!(
                 "the rejoined node failed to converge on a healed network: applied {} \
@@ -1279,14 +1266,14 @@ impl ReplSim {
         // R3 head-to-head: both nodes stand at the same LSN now, so
         // their snapshots must match byte for byte — no reference fold
         // in between — in both framings.
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if rj.engine().monitor().snapshot() != self.replica.engine().monitor().snapshot() {
             self.violation(format!(
                 "R3 violated at drain: rejoined node and new primary differ at LSN {target}"
             ));
             return;
         }
-        self.invariant_checks += 1;
+        self.ledger.invariant_checks += 1;
         if rj.engine().monitor().snapshot_bytes()
             != self.replica.engine().monitor().snapshot_bytes()
         {
@@ -1297,16 +1284,21 @@ impl ReplSim {
     }
 
     fn run(mut self) -> ReplReport {
-        let mut pending = self.script();
-        while let Some(line) = pending.pop_front() {
+        let mut script_rng = SplitMix64::new(self.config.seed ^ 0x3077_0AD5_0000_0013);
+        let mut pending =
+            script_frames(&mut script_rng, self.config.n_ops, self.config.n_customers);
+        while let Some(frame) = pending.pop_front() {
             if !self.violations.is_empty() {
                 break;
             }
             self.clock
                 .advance(Duration::from_millis(1 + self.transport_rng.below(40)));
-            self.deliver(&line);
+            self.deliver(&frame);
             if !self.promoted {
                 self.repl_round();
+            }
+            if self.violations.is_empty() {
+                self.restart_dead_nodes();
             }
             if !self.violations.is_empty() {
                 break;
@@ -1332,7 +1324,10 @@ impl ReplSim {
         // of writes and reads against it.
         if self.violations.is_empty() {
             for line in self.coda() {
-                self.deliver(&line);
+                self.deliver(&[line]);
+                if self.violations.is_empty() {
+                    self.restart_dead_nodes();
+                }
                 if !self.violations.is_empty() {
                     break;
                 }
@@ -1353,8 +1348,8 @@ impl ReplSim {
         let rj_resp_stats = self.net_resp2.stats();
         ReplReport {
             seed: self.config.seed,
-            ops: self.ops,
-            wal_records: self.wal_records,
+            ops: self.ledger.ops,
+            wal_records: self.ledger.wal_records,
             batches_applied: self.batches_applied,
             records_replicated: self.records_replicated,
             records_skipped: self.records_skipped,
@@ -1374,45 +1369,15 @@ impl ReplSim {
                 + resp_stats.faults()
                 + rj_req_stats.faults()
                 + rj_resp_stats.faults(),
-            score_checks: self.score_checks,
+            score_checks: self.ledger.score_checks,
             rejoin_phase: self.config.rejoin_phase,
             rejoins: self.rejoins,
             divergent_records_discarded: self.divergent_discarded,
             rejoin_records_applied: self.rejoin_records,
             rejoined_crashes: self.rejoined_crashes,
-            invariant_checks: self.invariant_checks,
+            invariant_checks: self.ledger.invariant_checks,
             violations: self.violations,
         }
-    }
-}
-
-/// One scripted client op (same mix as the single-node simulator).
-fn scripted_op(rng: &mut SplitMix64, month: i32, n_customers: u64) -> String {
-    let draw = rng.below(100);
-    if draw < 60 {
-        let customer = CustomerId::new(1 + rng.below(n_customers));
-        let m = if rng.per_mille(80) {
-            (month - 2).max(0) // backdated: may be out-of-order
-        } else {
-            month + rng.below(2) as i32
-        };
-        let (y, mo, _) = origin().add_months(m).ymd();
-        let day = 1 + rng.below(28) as u32;
-        let date = Date::from_ymd(y, mo, day).expect("clamped day is valid");
-        let items: Vec<ItemId> = (0..1 + rng.below(4))
-            .map(|_| ItemId::new(1 + rng.below(40) as u32))
-            .collect();
-        Request::Ingest(customer, date, items).to_line()
-    } else if draw < 80 {
-        let customer = CustomerId::new(1 + rng.below(n_customers + 4));
-        Request::Score(customer).to_line()
-    } else if draw < 88 {
-        let (y, mo, _) = origin().add_months(month).ymd();
-        Request::Flush(Date::from_ymd(y, mo, 1).expect("month start is valid")).to_line()
-    } else if draw < 96 {
-        "PING".to_owned()
-    } else {
-        format!("BOGUS {}", rng.below(100))
     }
 }
 

@@ -97,6 +97,42 @@ fn stale_epoch_bug_is_caught_with_a_printed_seed() {
     assert_eq!(report.violations, again.violations);
 }
 
+/// The sweep must also catch a primary that runs a frame's members one
+/// at a time (the `Service` trait's old member-by-member default): the
+/// world scripts `BATCH` frames, and under `sync=always` a frame that
+/// commits anything must pay exactly one fsync. Demand that violation
+/// with a reproducible seed within a small sweep.
+#[test]
+fn member_by_member_frames_are_caught_with_a_printed_seed() {
+    let mut caught = None;
+    for seed in 0..32 {
+        let config = ReplSimConfig::with_bug(seed, ReplSimBug::MemberByMemberFrames);
+        let report = run_repl(&config);
+        if !report.passed() {
+            println!(
+                "seed {seed} caught the bug: {}\n  repro: {}",
+                report.violations[0],
+                repro_repl_command(seed)
+            );
+            caught = Some((seed, report));
+            break;
+        }
+    }
+    let (seed, report) = caught.expect(
+        "MemberByMemberFrames survived 32 seeds — the sweep cannot see one fsync per member",
+    );
+    assert!(
+        report.violations[0].contains("fsyncs under sync=always"),
+        "the violation should be the per-frame fsync count: {:?}",
+        report.violations
+    );
+    let again = run_repl(&ReplSimConfig::with_bug(
+        seed,
+        ReplSimBug::MemberByMemberFrames,
+    ));
+    assert_eq!(report.violations, again.violations);
+}
+
 /// The same stale-epoch scenario, scripted deterministically (no seeds,
 /// no sweep): a batch fetched from the primary is still in flight when
 /// the replica is promoted. With the fence on it must be rejected; with

@@ -144,6 +144,7 @@ fn applied_seq(stats_json: &str) -> Option<u64> {
 fn two_process_failover_promotes_with_bit_identical_scores() {
     let primary_dir = temp_dir("primary");
     let replica_dir = temp_dir("replica");
+    let _cleanup = RemoveOnDrop(vec![primary_dir.clone(), replica_dir.clone()]);
     let mut cfg = ScenarioConfig::small();
     cfg.n_loyal = 60;
     cfg.n_defectors = 60;
@@ -264,8 +265,6 @@ fn two_process_failover_promotes_with_bit_identical_scores() {
         status.success(),
         "graceful promoted shutdown exits zero: {rest}"
     );
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 /// The self-healing proof at the binary level: the SIGKILLed primary
@@ -278,6 +277,7 @@ fn two_process_failover_promotes_with_bit_identical_scores() {
 fn sigkilled_primary_rejoins_and_serves_the_new_timeline_bit_identically() {
     let primary_dir = temp_dir("rejoin_primary");
     let replica_dir = temp_dir("rejoin_replica");
+    let _cleanup = RemoveOnDrop(vec![primary_dir.clone(), replica_dir.clone()]);
     let mut cfg = ScenarioConfig::small();
     cfg.n_loyal = 40;
     cfg.n_defectors = 40;
@@ -333,6 +333,26 @@ fn sigkilled_primary_rejoins_and_serves_the_new_timeline_bit_identically() {
                 assert!(
                     Instant::now() < deadline,
                     "replica never caught up to LSN {acked_a}: {json}"
+                );
+            }
+            other => panic!("unexpected stats reply: {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // ...and has parked. The fetch that applied the last records fetches
+    // again at once; only that fetch, from LSN `acked_a`, sets the
+    // primary's lag gauge to 0. Writing B before it arrives would let B's
+    // first durable records ship.
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        match client.send("STATS").expect("stats rpc") {
+            Reply::Stats(json) => {
+                if stat(&json, "serve.repl.lag_records") == Some(0) {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "replica never fetched from LSN {acked_a}: {json}"
                 );
             }
             other => panic!("unexpected stats reply: {other:?}"),
@@ -465,8 +485,6 @@ fn sigkilled_primary_rejoins_and_serves_the_new_timeline_bit_identically() {
     drop(rclient);
     let status = replica.child.wait().expect("promoted node must exit");
     assert!(status.success(), "graceful promoted shutdown exits zero");
-    let _ = std::fs::remove_dir_all(&primary_dir);
-    let _ = std::fs::remove_dir_all(&replica_dir);
 }
 
 /// A raw protocol connection: replies as the exact bytes the server

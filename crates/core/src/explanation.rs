@@ -65,31 +65,12 @@ impl WindowExplanation {
 }
 
 /// Significance-descending order with ties broken by item id — a strict
-/// total order on any lost set (items are unique), so every selection
-/// below is deterministic.
-fn rank_lost(a: &LostProduct, b: &LostProduct) -> std::cmp::Ordering {
+/// total order on any lost set (items are unique): the order of the close
+/// step's top-K list.
+pub(crate) fn rank_lost(a: &LostProduct, b: &LostProduct) -> std::cmp::Ordering {
     b.significance
         .total_cmp(&a.significance)
         .then(a.item.cmp(&b.item))
-}
-
-/// Reduce a lost-product set to its `k` most significant entries,
-/// sorted most-significant-first (ties broken by item id).
-///
-/// Uses `select_nth_unstable_by` to partition the top `k` in `O(n)` and
-/// sorts only that prefix — `O(n + k log k)` instead of the `O(n log n)`
-/// full sort, which matters because every closed window of every
-/// customer ranks its lost set (batch engine, streaming monitor, and
-/// serve shards all funnel through this).
-pub fn select_top_lost(mut lost: Vec<LostProduct>, k: usize) -> Vec<LostProduct> {
-    if k == 0 {
-        lost.clear();
-    } else if k < lost.len() {
-        lost.select_nth_unstable_by(k - 1, rank_lost);
-        lost.truncate(k);
-    }
-    lost.sort_unstable_by(rank_lost);
-    lost
 }
 
 /// A population-level attrition driver: an item, how many customers'
@@ -186,43 +167,6 @@ mod tests {
         assert_eq!(lines[0], "arabica (share 32%)");
         // Unknown item falls back to the id.
         assert_eq!(lines[1], "i99 (share 10%)");
-    }
-
-    #[test]
-    fn select_top_lost_matches_full_sort() {
-        use attrition_util::check::forall;
-        forall(
-            256,
-            |rng| {
-                let n = rng.usize_below(20);
-                let lost: Vec<LostProduct> = (0..n)
-                    .map(|i| {
-                        // Duplicate significances exercise the id tie-break.
-                        lost(i as u32, rng.u64_below(5) as f64, 0.0)
-                    })
-                    .collect();
-                (lost, rng.usize_below(24))
-            },
-            |(lost_set, k)| {
-                let mut reference = lost_set.clone();
-                reference.sort_by(|a, b| {
-                    b.significance
-                        .total_cmp(&a.significance)
-                        .then(a.item.cmp(&b.item))
-                });
-                reference.truncate(*k);
-                assert_eq!(select_top_lost(lost_set.clone(), *k), reference);
-            },
-        );
-    }
-
-    #[test]
-    fn select_top_lost_edge_cases() {
-        assert!(select_top_lost(vec![lost(1, 2.0, 0.1)], 0).is_empty());
-        assert!(select_top_lost(Vec::new(), 5).is_empty());
-        let all = select_top_lost(vec![lost(2, 1.0, 0.1), lost(1, 4.0, 0.2)], 10);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].item, ItemId::new(1));
     }
 
     #[test]

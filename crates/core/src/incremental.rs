@@ -10,7 +10,7 @@
 //! The scores are identical to the batch engine's by construction (same
 //! tracker, same fold order) — asserted by integration tests.
 
-use crate::explanation::WindowExplanation;
+use crate::explanation::{LostProduct, WindowExplanation};
 use crate::params::StabilityParams;
 use crate::significance::SignificanceTracker;
 use crate::stability::StabilityPoint;
@@ -106,6 +106,8 @@ pub struct StabilityMonitor {
     states: Vec<CustomerState>,
     /// Customer id → arena slot.
     index: HashMap<CustomerId, u32>,
+    /// The close step's top-K scratch, reused by every close.
+    top: Vec<LostProduct>,
 }
 
 impl StabilityMonitor {
@@ -117,6 +119,7 @@ impl StabilityMonitor {
             max_explanations: 5,
             states: Vec::new(),
             index: HashMap::new(),
+            top: Vec::new(),
         }
     }
 
@@ -284,9 +287,10 @@ impl StabilityMonitor {
             window.raw(),
             state.current_window
         );
+        let (max, top) = (self.max_explanations, &mut self.top);
         let mut closed = Vec::new();
         while state.current_window < window.raw() {
-            closed.push(Self::close_one(customer, state, self.max_explanations));
+            closed.push(close_one(customer, state, max, top));
         }
         state.pending.extend_from_slice(items);
         if attrition_obs::enabled() {
@@ -309,7 +313,7 @@ impl StabilityMonitor {
         for (id, slot) in self.ordered_slots() {
             let state = &mut self.states[slot];
             while state.current_window < window.raw() {
-                closed.push(Self::close_one(id, state, self.max_explanations));
+                closed.push(close_one(id, state, self.max_explanations, &mut self.top));
             }
         }
         closed
@@ -329,14 +333,8 @@ impl StabilityMonitor {
     pub fn preview(&self, customer: CustomerId) -> Option<StabilityPoint> {
         let state = &self.states[self.slot(customer)?];
         let u = Basket::new(state.pending.clone());
-        let total = state.tracker.total_significance();
-        let present = state.tracker.present_significance(&u);
-        Some(StabilityPoint {
-            window: WindowIndex::new(state.current_window),
-            value: if total > 0.0 { present / total } else { 1.0 },
-            present_significance: present,
-            total_significance: total,
-        })
+        let k = WindowIndex::new(state.current_window);
+        Some(state.tracker.score_window(k, u.items(), 0, &mut Vec::new()))
     }
 
     /// Serialize the monitor's state to a CSV checkpoint.
@@ -699,12 +697,9 @@ impl StabilityMonitor {
                             format!("duplicate customer row for {customer}"),
                         ));
                     }
-                    let mut tracker = SignificanceTracker::new(params);
-                    // Advance the window counter with empty observations;
-                    // counters are replayed by the `i` rows below.
-                    for _ in 0..windows {
-                        tracker.observe_window(&Basket::empty());
-                    }
+                    // Counters are replayed by the `i` rows below.
+                    let tracker = SignificanceTracker::from_parts(params, windows, vec![], vec![])
+                        .expect("an empty tracker is valid at any window count");
                     monitor.push_state(
                         customer,
                         CustomerState {
@@ -761,40 +756,29 @@ impl StabilityMonitor {
         }
         Ok(monitor)
     }
+}
 
-    fn close_one(
-        customer: CustomerId,
-        state: &mut CustomerState,
-        max_explanations: usize,
-    ) -> WindowClosed {
-        let u = Basket::new(std::mem::take(&mut state.pending));
-        let k = WindowIndex::new(state.current_window);
-        let total = state.tracker.total_significance();
-        let present = state.tracker.present_significance(&u);
-        let point = StabilityPoint {
+/// Close a customer's current window. Its items are canonicalized in place
+/// and then dropped: the next window's start in a fresh, small buffer.
+fn close_one(
+    customer: CustomerId,
+    state: &mut CustomerState,
+    max_explanations: usize,
+    top: &mut Vec<LostProduct>,
+) -> WindowClosed {
+    let mut u = std::mem::take(&mut state.pending);
+    u.sort_unstable();
+    u.dedup();
+    let k = WindowIndex::new(state.current_window);
+    let point = state.tracker.close_window(k, &u, max_explanations, top);
+    state.current_window += 1;
+    WindowClosed {
+        customer,
+        point,
+        explanation: WindowExplanation {
             window: k,
-            value: if total > 0.0 { present / total } else { 1.0 },
-            present_significance: present,
-            total_significance: total,
-        };
-        let lost: Vec<crate::explanation::LostProduct> = state
-            .tracker
-            .tracked_items()
-            .filter(|(item, c, _, _)| *c > 0 && !u.contains(*item))
-            .map(|(item, _, _, s)| crate::explanation::LostProduct {
-                item,
-                significance: s,
-                share: if total > 0.0 { s / total } else { 0.0 },
-            })
-            .collect();
-        let lost = crate::explanation::select_top_lost(lost, max_explanations);
-        state.tracker.observe_window(&u);
-        state.current_window += 1;
-        WindowClosed {
-            customer,
-            point,
-            explanation: WindowExplanation { window: k, lost },
-        }
+            lost: top.to_vec(),
+        },
     }
 }
 

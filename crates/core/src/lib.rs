@@ -21,11 +21,11 @@
 //! [`significance::SignificanceTracker`] therefore stores one counter per
 //! item plus the global window count. Because `S` depends on an item only
 //! through its count, the tracker additionally maintains a **count
-//! histogram** and a lazily-grown α-power table, scoring a window in
-//! O(|u_k| + k) — independent of repertoire size — with one canonical
-//! (ascending-count) summation order, so scores are bit-identical across
-//! the batch engine, the streaming monitor, snapshot restores, and the
-//! serve shards (DESIGN.md §9).
+//! histogram** and a lazily-grown α-power table, so the denominator costs
+//! O(k) with one canonical (ascending-count) summation order. The batch
+//! engine, the streaming monitor and the serve shards all close a window
+//! through one step, [`SignificanceTracker::close_window`], so their scores
+//! are bit-identical (DESIGN.md §9).
 //!
 //! Modules: [`params`] (α and the threshold β), [`significance`],
 //! [`stability`] (per-customer series), [`explanation`] (lost-product
@@ -51,9 +51,7 @@ pub mod variants;
 pub use classifier::StabilityClassifier;
 pub use cohort::{cohort_curves, flag_rate_per_window, CohortPoint};
 pub use engine::{StabilityEngine, StabilityMatrix};
-pub use explanation::{
-    aggregate_explanations, select_top_lost, LostProduct, SegmentDriver, WindowExplanation,
-};
+pub use explanation::{aggregate_explanations, LostProduct, SegmentDriver, WindowExplanation};
 pub use export::{explanations_to_csv, matrix_to_csv};
 pub use incremental::{RestoreError, StabilityMonitor, WindowClosed, SNAPSHOT_MAGIC};
 pub use params::StabilityParams;

@@ -55,9 +55,8 @@ pub fn detect_recoveries(
     let mut absence_run: std::collections::HashMap<ItemId, u32> = std::collections::HashMap::new();
     let mut prev_stability = f64::NAN;
     for (k, u) in windows.baskets.iter().enumerate() {
-        let total = tracker.total_significance();
-        let present = tracker.present_significance(u);
-        let stability = if total > 0.0 { present / total } else { 1.0 };
+        let k = WindowIndex::new(k as u32);
+        let stability = tracker.score_window(k, u.items(), 0, &mut Vec::new()).value;
 
         let mut regained: Vec<RegainedProduct> = u
             .iter()
@@ -80,7 +79,7 @@ pub fn detect_recoveries(
                 .then(a.item.cmp(&b.item))
         });
         out.push(WindowRecovery {
-            window: WindowIndex::new(k as u32),
+            window: k,
             regained,
             stability_delta: stability - prev_stability,
         });

@@ -39,8 +39,10 @@
 //! computing the power directly while the hot loop does no
 //! transcendental work. See DESIGN.md §9 ("kernel complexity contract").
 
+use crate::explanation::{rank_lost, LostProduct};
 use crate::params::StabilityParams;
-use attrition_types::{Basket, ItemId};
+use crate::stability::StabilityPoint;
+use attrition_types::{Basket, ItemId, WindowIndex};
 
 /// Exponent clamp for `α^(2c−k)`: beyond ±1000 the value has long
 /// under-/overflowed for any admissible α, and the clamp bounds the
@@ -231,11 +233,6 @@ impl SignificanceTracker {
         }
     }
 
-    /// `l(k)` for an item.
-    pub fn absences(&self, item: ItemId) -> u32 {
-        self.windows - self.occurrences(item)
-    }
-
     /// `S(p, k)` where `k` is the current window count.
     pub fn significance(&self, item: ItemId) -> f64 {
         self.significance_of_count(self.occurrences(item))
@@ -350,6 +347,73 @@ impl SignificanceTracker {
         }
     }
 
+    /// The close step of the batch engine and the streaming monitor: score
+    /// window `k` (sorted, deduplicated items `u`), leave its `max_lost`
+    /// most significant absent items in `top`, most significant first, then
+    /// fold `u` in. `top` is the caller's scratch, reused across windows.
+    pub fn close_window(
+        &mut self,
+        k: WindowIndex,
+        u: &[ItemId],
+        max_lost: usize,
+        top: &mut Vec<LostProduct>,
+    ) -> StabilityPoint {
+        let point = self.score_window(k, u, max_lost, top);
+        self.observe_sorted(u);
+        point
+    }
+
+    /// Score `u` in one walk of the item and count columns: present items
+    /// add to the numerator in item order; absent ones are offered to a
+    /// `max_lost`-slot list in [`rank_lost`] order, where (arriving in item
+    /// order) a tie never displaces a kept entry. Only survivors get shares.
+    pub(crate) fn score_window(
+        &self,
+        k: WindowIndex,
+        u: &[ItemId],
+        max_lost: usize,
+        top: &mut Vec<LostProduct>,
+    ) -> StabilityPoint {
+        debug_assert!(u.windows(2).all(|w| w[0] < w[1]), "u must be sorted");
+        top.clear();
+        let total = self.total_significance();
+        // An empty window's numerator stays −0.0, as `Iterator::sum` (which
+        // folds from −0.0) has always made it; any other starts at +0.0.
+        let mut present = if u.is_empty() { -0.0 } else { 0.0 };
+        let mut j = 0;
+        for (&item, &c) in self.items.iter().zip(&self.counts) {
+            while j < u.len() && u[j] < item {
+                j += 1;
+            }
+            if j < u.len() && u[j] == item {
+                present += self.significance_of_count(c);
+                j += 1;
+            } else if max_lost > 0 {
+                let lost = LostProduct {
+                    item,
+                    significance: self.significance_of_count(c),
+                    share: 0.0,
+                };
+                let at = top.partition_point(|kept| rank_lost(kept, &lost).is_lt());
+                if at < max_lost {
+                    top.truncate(max_lost - 1);
+                    top.insert(at, lost);
+                }
+            }
+        }
+        if total > 0.0 {
+            for lost in top.iter_mut() {
+                lost.share = lost.significance / total;
+            }
+        }
+        StabilityPoint {
+            window: k,
+            value: if total > 0.0 { present / total } else { 1.0 },
+            present_significance: present,
+            total_significance: total,
+        }
+    }
+
     /// Fold window `k`'s item set into the counters (advancing `k` to
     /// `k + 1`). Call *after* scoring the window. `O(|u_k| + |I|)` worst
     /// case, but a window that introduces no new items — the steady
@@ -359,7 +423,10 @@ impl SignificanceTracker {
     /// linear. The power table grows to cover the new window count
     /// (amortized O(1)).
     pub fn observe_window(&mut self, u: &Basket) {
-        let incoming = u.items();
+        self.observe_sorted(u.items());
+    }
+
+    fn observe_sorted(&mut self, incoming: &[ItemId]) {
         // Count basket items not yet tracked with one forward sweep.
         let mut missing = 0usize;
         {
@@ -479,7 +546,6 @@ mod tests {
             t.observe_window(&b(&[7]));
             // After k windows all containing the item: c=k, l=0, S=2^k.
             assert_eq!(t.occurrences(ItemId::new(7)), k);
-            assert_eq!(t.absences(ItemId::new(7)), 0);
             assert_eq!(t.significance(ItemId::new(7)), 2f64.powi(k as i32));
         }
     }

@@ -14,7 +14,7 @@
 //! denominator is zero (possible only if the customer has never bought
 //! anything yet).
 
-use crate::explanation::{LostProduct, WindowExplanation};
+use crate::explanation::WindowExplanation;
 use crate::params::StabilityParams;
 use crate::significance::SignificanceTracker;
 use attrition_store::CustomerWindows;
@@ -52,65 +52,35 @@ impl CustomerAnalysis {
     }
 }
 
-fn point_from_tracker(
-    tracker: &SignificanceTracker,
-    k: WindowIndex,
-    u: &attrition_types::Basket,
-) -> StabilityPoint {
-    let total = tracker.total_significance();
-    let present = tracker.present_significance(u);
-    let value = if total > 0.0 { present / total } else { 1.0 };
-    StabilityPoint {
-        window: k,
-        value,
-        present_significance: present,
-        total_significance: total,
-    }
-}
-
-/// Compute the stability series of one customer's windowed database.
+/// Compute the stability series of one customer's windowed database:
+/// the close step with no explanation.
 pub fn stability_series(windows: &CustomerWindows, params: StabilityParams) -> Vec<StabilityPoint> {
     let mut tracker = SignificanceTracker::new(params);
-    let mut out = Vec::with_capacity(windows.num_windows());
-    for (k, u) in windows.baskets.iter().enumerate() {
-        out.push(point_from_tracker(&tracker, WindowIndex::new(k as u32), u));
-        tracker.observe_window(u);
-    }
-    out
+    let mut none = Vec::new();
+    (0..)
+        .zip(&windows.baskets)
+        .map(|(k, u)| tracker.close_window(WindowIndex::new(k), u.items(), 0, &mut none))
+        .collect()
 }
 
 /// Compute the stability series *and* per-window explanations (top
-/// `max_products` lost products per window).
+/// `max_products` lost products per window, each stored at exact size).
 pub fn analyze_customer(
     windows: &CustomerWindows,
     params: StabilityParams,
     max_products: usize,
 ) -> CustomerAnalysis {
     let mut tracker = SignificanceTracker::new(params);
+    let mut top = Vec::new();
     let mut points = Vec::with_capacity(windows.num_windows());
     let mut explanations = Vec::with_capacity(windows.num_windows());
-    for (k, u) in windows.baskets.iter().enumerate() {
-        let k = WindowIndex::new(k as u32);
-        let point = point_from_tracker(&tracker, k, u);
-        // Lost products: tracked, significant, and absent from u_k.
-        // Top-K selection instead of sorting the full lost set.
-        let lost: Vec<LostProduct> = tracker
-            .tracked_items()
-            .filter(|(item, c, _, _)| *c > 0 && !u.contains(*item))
-            .map(|(item, _, _, s)| LostProduct {
-                item,
-                significance: s,
-                share: if point.total_significance > 0.0 {
-                    s / point.total_significance
-                } else {
-                    0.0
-                },
-            })
-            .collect();
-        let lost = crate::explanation::select_top_lost(lost, max_products);
-        explanations.push(WindowExplanation { window: k, lost });
-        points.push(point);
-        tracker.observe_window(u);
+    for (k, u) in (0..).zip(&windows.baskets) {
+        let window = WindowIndex::new(k);
+        points.push(tracker.close_window(window, u.items(), max_products, &mut top));
+        explanations.push(WindowExplanation {
+            window,
+            lost: top.to_vec(),
+        });
     }
     CustomerAnalysis {
         customer: windows.customer,

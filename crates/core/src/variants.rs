@@ -22,7 +22,7 @@
 use crate::stability::StabilityPoint;
 use attrition_store::CustomerWindows;
 use attrition_types::{Basket, ItemId, WindowIndex};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Which significance function to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +78,7 @@ struct ItemState {
 #[derive(Debug, Clone)]
 pub struct VariantTracker {
     variant: SignificanceVariant,
-    items: HashMap<ItemId, ItemState>,
+    items: BTreeMap<ItemId, ItemState>,
     windows: u32,
 }
 
@@ -88,7 +88,7 @@ impl VariantTracker {
         variant.validate();
         VariantTracker {
             variant,
-            items: HashMap::new(),
+            items: BTreeMap::new(),
             windows: 0,
         }
     }
@@ -111,7 +111,7 @@ impl VariantTracker {
         }
     }
 
-    /// `Σ_p S(p,k)` over tracked items.
+    /// `Σ_p S(p,k)` over tracked items, in ascending item order.
     pub fn total_significance(&self) -> f64 {
         self.items.keys().map(|&item| self.significance(item)).sum()
     }

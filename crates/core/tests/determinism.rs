@@ -12,7 +12,8 @@
 //! probability.
 
 use attrition_core::{
-    stability_series, SignificanceTracker, StabilityMonitor, StabilityParams, WindowClosed,
+    analyze_customer, stability_series, SignificanceTracker, StabilityMonitor, StabilityParams,
+    WindowClosed,
 };
 use attrition_store::{CustomerWindows, WindowSpec};
 use attrition_types::{Basket, CustomerId, Date, ItemId};
@@ -131,8 +132,10 @@ fn snapshot_restore_bit_identical() {
     );
 }
 
-/// (c) Batch `stability_series` and the streaming monitor score the
-/// same customer bit-identically — value, numerator, and denominator.
+/// (c) Batch `stability_series` / `analyze_customer` and the streaming
+/// monitor score the same customer bit-identically — value, numerator,
+/// denominator, and every explanation's items, significances and shares
+/// — and every explanation is stored at its exact length.
 #[test]
 fn batch_and_streaming_bit_identical() {
     let spec = WindowSpec::months(d(2012, 5, 1), 1);
@@ -147,6 +150,8 @@ fn batch_and_streaming_bit_identical() {
             spec,
         };
         let batch = stability_series(&windows, StabilityParams::PAPER);
+        let analysis = analyze_customer(&windows, StabilityParams::PAPER, 5);
+        assert_eq!(analysis.points, batch);
 
         let mut monitor = StabilityMonitor::new(spec, StabilityParams::PAPER);
         let mut online = Vec::new();
@@ -164,7 +169,7 @@ fn batch_and_streaming_bit_identical() {
             return;
         }
         assert_eq!(online.len(), batch.len());
-        for (closed, point) in online.iter().zip(&batch) {
+        for ((closed, point), expl) in online.iter().zip(&batch).zip(&analysis.explanations) {
             assert_eq!(closed.point.window, point.window);
             assert_eq!(closed.point.value.to_bits(), point.value.to_bits());
             assert_eq!(
@@ -175,6 +180,16 @@ fn batch_and_streaming_bit_identical() {
                 closed.point.total_significance.to_bits(),
                 point.total_significance.to_bits()
             );
+            assert_eq!(closed.explanation.window, expl.window);
+            assert_eq!(closed.explanation.lost.len(), expl.lost.len());
+            for (a, b) in closed.explanation.lost.iter().zip(&expl.lost) {
+                assert_eq!(a.item, b.item);
+                assert_eq!(a.significance.to_bits(), b.significance.to_bits());
+                assert_eq!(a.share.to_bits(), b.share.to_bits());
+            }
+            for lost in [&closed.explanation.lost, &expl.lost] {
+                assert_eq!(lost.capacity(), lost.len(), "explanation kept slack");
+            }
         }
     });
 }

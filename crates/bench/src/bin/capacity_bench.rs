@@ -5,9 +5,9 @@
 //! bench grows a single [`StabilityMonitor`] to `N` resident customers
 //! (default 1,000,000; `ATTRITION_BENCH_QUICK=1` drops to 50,000 for CI
 //! smoke runs), sampling process RSS and the monitor's own heap
-//! estimate at milestones along the way, then measures both snapshot
-//! formats end to end: encode time, artifact size, and restore time —
-//! and asserts the binary round-trip is byte-identical before reporting.
+//! estimate at milestones along the way, then measures the binary
+//! snapshot end to end: encode time, artifact size, and restore time —
+//! and asserts its round-trip is byte-identical before reporting.
 //!
 //! Output: `results/capacity_bench.json`.
 //!
@@ -97,7 +97,7 @@ fn main() {
     let build_s = t_build.elapsed().as_secs_f64();
     assert_eq!(monitor.num_customers(), n_customers as usize);
 
-    // Snapshot both formats: size, encode time, restore time.
+    // Snapshot size, encode time, restore time.
     let t = Instant::now();
     let binary = monitor.snapshot_bytes();
     let binary_encode_s = t.elapsed().as_secs_f64();
@@ -112,22 +112,11 @@ fn main() {
     );
     drop(restored);
 
-    let t = Instant::now();
-    let text = monitor.snapshot();
-    let text_encode_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let restored = StabilityMonitor::restore(&text).expect("text snapshot restores");
-    let text_restore_s = t.elapsed().as_secs_f64();
-    assert_eq!(restored.num_customers(), n_customers as usize);
-    drop(restored);
-
     let rss_final = rss_bytes().unwrap_or(0);
     println!(
         "built in {build_s:.1}s; binary snapshot {} MiB \
-         (encode {binary_encode_s:.2}s, restore {binary_restore_s:.2}s); \
-         text snapshot {} MiB (encode {text_encode_s:.2}s, restore {text_restore_s:.2}s)",
+         (encode {binary_encode_s:.2}s, restore {binary_restore_s:.2}s)",
         binary.len() >> 20,
-        text.len() >> 20
     );
 
     let json = format!(
@@ -139,13 +128,10 @@ fn main() {
          \"final_rss_bytes\":{rss_final},\n\
          \"monitor_heap_bytes\":{},\n\
          \"binary_snapshot\":{{\"bytes\":{},\"encode_seconds\":{binary_encode_s:.3},\
-         \"restore_seconds\":{binary_restore_s:.3},\"round_trip_byte_identical\":true}},\n\
-         \"text_snapshot\":{{\"bytes\":{},\"encode_seconds\":{text_encode_s:.3},\
-         \"restore_seconds\":{text_restore_s:.3}}}\n\
+         \"restore_seconds\":{binary_restore_s:.3},\"round_trip_byte_identical\":true}}\n\
          }}\n",
         monitor.heap_bytes(),
         binary.len(),
-        text.len(),
     );
     write_result("capacity_bench.json", &json);
 }

@@ -123,10 +123,12 @@ FLAGS:
     --workers N             connection worker threads (default 4)
     --queue N               waiting connections before ERR busy (default 64)
     --read-timeout-ms N     idle connection timeout (default 5000)
-    --snapshot PATH         checkpoint written by SNAPSHOT and at shutdown
-    --restore PATH          start from a checkpoint (grid, α and explanation
-                            depth come from its header; --origin/--window/
-                            --alpha/--max-explanations are rejected)
+    --snapshot PATH         binary snapshot written by SNAPSHOT and at shutdown
+                            (`attrition dump PATH` prints it as text)
+    --restore PATH          start from a --snapshot file (grid, α and
+                            explanation depth come from its header;
+                            --origin/--window/--alpha/--max-explanations
+                            are rejected)
     --max-explanations N    lost products per closed-window explanation (default 5)
 
 DURABILITY (see README's Durability section):
@@ -138,14 +140,15 @@ DURABILITY (see README's Durability section):
     --checkpoint-every N    checkpoint every N logged requests (default 1024;
                             0 disables the count trigger)
     --checkpoint-secs N     checkpoint every N seconds (default 30; 0 disables)
-    --checkpoint-format F   text | binary (default binary); recovery reads
-                            either format regardless of this setting
     --keep-checkpoints N    checkpoints retained after rotation (default 2)
 
 Serves INGEST/SCORE/FLUSH/SNAPSHOT/STATS/PING/SHUTDOWN until SHUTDOWN or
 ctrl-c, then drains connections, writes the snapshot (if configured) and
 prints a summary. With --wal-dir the exit code is nonzero when the final
-checkpoint or snapshot failed (the WAL is retained; recovery replays it),
+checkpoint or snapshot failed (the WAL is retained; recovery replays it)
+or when recovery finds acknowledged records in no readable checkpoint
+and not in the WAL (it names their sequence numbers instead of serving
+without them),
 and the server also acts as a replication primary: `attrition replicate`
 followers pull its WAL over the REPL verb (see README's Replication
 section). See README's Serving section for the protocol."
@@ -172,7 +175,6 @@ FLAGS:
     --sync-policy P         never | interval:N | always (default always)
     --checkpoint-every N    checkpoint every N applied records (default 1024)
     --checkpoint-secs N     checkpoint every N seconds (default 30; 0 disables)
-    --checkpoint-format F   text | binary (default binary)
     --keep-checkpoints N    checkpoints retained after rotation (default 2)
     --rejoin                run the divergence handshake against the primary
                             before serving: a deposed primary discards any
@@ -185,6 +187,21 @@ accepting writes — the promoted node then serves REPL to the next replica.
 A fenced fetch triggers the rejoin handshake automatically; `--rejoin`
 just runs it eagerly at startup. See README's Replication section for the
 failover and rejoin walkthroughs."
+            .into(),
+        "dump" => "\
+attrition dump — print a checkpoint or snapshot file's state as text
+
+USAGE:
+    attrition dump FILE
+
+FILE is a `checkpoint-<lsn>.ckpt` from a --wal-dir (ATTRCKP2; its length
+and checksum are verified first, and its LSN goes to stderr) or a file
+written by `serve --snapshot` (ATTRMON1). Prints the monitor's text
+rendering: a `#monitor,<origin days>,<window>,<alpha>,<max explanations>`
+header, then per customer in id order `c,<id>,<window>,<windows seen>`,
+one `i,<id>,<item>,<count>` row per tracked item and one `p,<id>,<item>,`
+row per pending item. Nothing reads this text back. Any other or
+corrupted file exits nonzero naming the failure."
             .into(),
         "scenarios" => "\
 attrition scenarios — evaluate both models on the scenario library
@@ -552,6 +569,27 @@ pub fn monitor(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// `attrition dump FILE`: the text rendering of a checkpoint's or a
+/// snapshot's monitor state.
+pub fn dump(args: &Args) -> CliResult {
+    let [path] = args.positional() else {
+        return Err("usage: attrition dump FILE (one checkpoint or snapshot file)".into());
+    };
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let body = if bytes.starts_with(b"ATTRCKP") {
+        let ckpt = attrition_serve::checkpoint::read(Path::new(path))
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("{path}: checkpoint lsn {}", ckpt.lsn);
+        ckpt.body
+    } else {
+        bytes
+    };
+    let monitor =
+        StabilityMonitor::restore_bytes(&body).map_err(|e| format!("cannot dump {path}: {e}"))?;
+    print!("{}", monitor.snapshot());
+    Ok(())
+}
+
 /// `attrition serve`
 pub fn serve(args: &Args) -> CliResult {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7711").to_owned();
@@ -579,21 +617,21 @@ pub fn serve(args: &Args) -> CliResult {
     }
 
     // The window grid comes either from flags or — under `--restore` —
-    // from the checkpoint's own header; mixing the two is rejected.
+    // from the snapshot's own header; mixing the two is rejected.
     let (spec, params, monitor) = match args.get("restore") {
         Some(path) => {
             for flag in ["origin", "window", "alpha", "max-explanations"] {
                 if args.get(flag).is_some() {
                     return Err(format!(
-                        "--{flag} conflicts with --restore (the checkpoint header fixes it)"
+                        "--{flag} conflicts with --restore (the snapshot header fixes it)"
                     )
                     .into());
                 }
             }
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
-            let merged = StabilityMonitor::restore(&text)
-                .map_err(|e| format!("cannot restore checkpoint {path}: {e}"))?;
+            let bytes =
+                std::fs::read(path).map_err(|e| format!("cannot read snapshot {path}: {e}"))?;
+            let merged = StabilityMonitor::restore_bytes(&bytes)
+                .map_err(|e| format!("cannot restore snapshot {path}: {e}"))?;
             eprintln!("restored {} customers from {path}", merged.num_customers());
             let (spec, params) = (merged.spec(), merged.params());
             (spec, params, ShardedMonitor::from_monitor(merged, shards))
@@ -662,12 +700,6 @@ fn serve_durable(
     if keep_checkpoints == 0 {
         return Err("--keep-checkpoints must be at least 1".into());
     }
-    let checkpoint_format: attrition_serve::CheckpointFormat = args
-        .get("checkpoint-format")
-        .unwrap_or("binary")
-        .parse()
-        .map_err(|e| format!("bad --checkpoint-format: {e}"))?;
-
     // First boot needs a grid from flags; on restart the recovered
     // checkpoint's header wins and the flags are ignored.
     let fallback = match args.get("origin") {
@@ -697,14 +729,12 @@ fn serve_durable(
     config.read_timeout = std::time::Duration::from_millis(read_timeout_ms);
     config.snapshot_path = args.get("snapshot").map(std::path::PathBuf::from);
     config.durability = Some(DurabilityConfig {
-        wal_dir: wal_dir.clone(),
         sync_policy,
         checkpoint_every_requests: checkpoint_every,
         checkpoint_every: (checkpoint_secs > 0)
             .then(|| std::time::Duration::from_secs(checkpoint_secs)),
         keep_checkpoints,
-        checkpoint_format,
-        fault_plan: None,
+        ..DurabilityConfig::new(wal_dir.clone())
     });
 
     attrition_serve::install_sigint_handler();
@@ -782,12 +812,6 @@ pub fn replicate(args: &Args) -> CliResult {
     if keep_checkpoints == 0 {
         return Err("--keep-checkpoints must be at least 1".into());
     }
-    let checkpoint_format: attrition_serve::CheckpointFormat = args
-        .get("checkpoint-format")
-        .unwrap_or("binary")
-        .parse()
-        .map_err(|e| format!("bad --checkpoint-format: {e}"))?;
-
     // The grid only seeds a replica with no local state yet; a recovered
     // checkpoint (or the first shipped bootstrap snapshot) wins.
     let origin = attrition_types::Date::parse_iso(args.require("origin")?)
@@ -803,14 +827,12 @@ pub fn replicate(args: &Args) -> CliResult {
 
     let rcfg = ReplicaConfig {
         durability: DurabilityConfig {
-            wal_dir: wal_dir.clone(),
             sync_policy,
             checkpoint_every_requests: checkpoint_every,
             checkpoint_every: (checkpoint_secs > 0)
                 .then(|| std::time::Duration::from_secs(checkpoint_secs)),
             keep_checkpoints,
-            checkpoint_format,
-            fault_plan: None,
+            ..DurabilityConfig::new(wal_dir.clone())
         },
         wal_dir,
         n_shards: shards,

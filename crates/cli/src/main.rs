@@ -19,6 +19,7 @@
 //!                    [--snapshot PATH | --restore PATH]
 //! attrition replicate --primary HOST:PORT --wal-dir DIR --origin DATE
 //!                    [--addr HOST:PORT] [--fetch-interval-ms 100] [--rejoin]
+//! attrition dump     FILE
 //! attrition scenarios [--scenario NAME] [--seed N] [--quick] [--out DIR]
 //!                    [--window 2] [--folds 5] [--fpr-budget 0.10]
 //! ```
@@ -53,6 +54,7 @@ COMMANDS:
     monitor    replay receipts through the streaming monitor, printing alerts
     serve      run the online scoring server (TCP line protocol)
     replicate  follow a durable server as a read-only, promotable replica
+    dump       print a checkpoint or snapshot file's state as text
     scenarios  evaluate both models on the scenario library with exact ground truth
     help       show this message
 
@@ -81,7 +83,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(stray) = parsed.positional().first() {
+    // `dump FILE` is the one command that takes a positional argument.
+    if let Some(stray) = parsed.positional().first().filter(|_| command != "dump") {
         eprintln!("error: unexpected positional argument {stray:?} (all inputs are flags)");
         return ExitCode::FAILURE;
     }
@@ -105,6 +108,7 @@ fn main() -> ExitCode {
         "monitor" => commands::monitor(&parsed),
         "serve" => commands::serve(&parsed),
         "replicate" => commands::replicate(&parsed),
+        "dump" => commands::dump(&parsed),
         "scenarios" => scenarios::scenarios(&parsed),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");

@@ -65,7 +65,7 @@ fn unknown_command_fails() {
 #[test]
 fn help_flag_succeeds_per_command() {
     for cmd in [
-        "generate", "stats", "evaluate", "explain", "rank", "export", "monitor", "serve",
+        "generate", "stats", "evaluate", "explain", "rank", "export", "monitor", "serve", "dump",
     ] {
         let out = run(&[cmd, "--help"]);
         assert!(out.status.success(), "{cmd} --help failed");
@@ -313,16 +313,157 @@ fn serve_rejects_unknown_sync_policy() {
 }
 
 #[test]
-fn serve_corrupt_checkpoint_exits_nonzero_naming_line_and_field() {
+fn serve_corrupt_snapshot_exits_nonzero_naming_the_field() {
     let dir = temp_dir("badsnap");
-    let path = dir.join("corrupt.csv");
-    // Valid header, then a customer row whose window count is garbage.
-    std::fs::write(&path, "#monitor,15461,m1,2,5\nc,7,three,4\n").unwrap();
+    let path = dir.join("corrupt.bin");
+    // A well-formed ATTRMON1 header (origin 2012-05-01, one-month
+    // windows, α = 2, 5 explanations, one customer), then customer 7
+    // tracking item 10 in 9 windows out of the 4 it has observed.
+    let mut bytes = b"ATTRMON1".to_vec();
+    bytes.extend(15461i32.to_le_bytes());
+    bytes.push(1);
+    bytes.extend(1u32.to_le_bytes());
+    bytes.extend(2.0f64.to_bits().to_le_bytes());
+    bytes.extend(5u64.to_le_bytes());
+    bytes.extend(1u64.to_le_bytes());
+    bytes.extend(7u64.to_le_bytes());
+    for field in [3u32, 4, 1, 0, 10, 9] {
+        bytes.extend(field.to_le_bytes());
+    }
+    std::fs::write(&path, &bytes).unwrap();
     let out = run(&["serve", "--restore", path.to_str().unwrap()]);
     assert!(!out.status.success());
     let err = stderr(&out);
-    assert!(err.contains("line 2"), "no line number: {err}");
-    assert!(err.contains("current_window"), "no field name: {err}");
+    assert!(err.contains("field `count`"), "no field name: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A running `attrition serve` child: its bound address and the rest of
+/// its stdout.
+struct ServeChild {
+    child: std::process::Child,
+    out: std::io::BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+impl ServeChild {
+    fn start(args: &[&str]) -> ServeChild {
+        use std::io::BufRead;
+        let mut child = Command::new(bin())
+            .arg("serve")
+            .args(["--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("serve must start");
+        let mut out = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        out.read_line(&mut line).unwrap();
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected first line: {line:?}"))
+            .to_owned();
+        ServeChild { child, out, addr }
+    }
+
+    /// One request line per entry; each answer's first line.
+    fn rpcs(&self, requests: &[&str]) -> Vec<String> {
+        use std::io::{BufRead, Write};
+        let stream = std::net::TcpStream::connect(&self.addr).expect("connects");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        requests
+            .iter()
+            .map(|req| {
+                writeln!(writer, "{req}").unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                reply.trim_end().to_owned()
+            })
+            .collect()
+    }
+
+    /// `SHUTDOWN`, then the exit status and the rest of stdout.
+    fn shut_down(mut self) -> (std::process::ExitStatus, String) {
+        assert_eq!(self.rpcs(&["SHUTDOWN"]), ["OK draining"]);
+        let status = self.child.wait().expect("serve must exit");
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut self.out, &mut rest).unwrap();
+        (status, rest)
+    }
+}
+
+/// `attrition dump` renders the two files the server writes — a
+/// `--snapshot` file and a `--wal-dir` checkpoint — as the same text,
+/// and exits nonzero, naming the failure, on a corrupted checkpoint or
+/// a file that is neither.
+#[test]
+fn dump_renders_snapshots_and_checkpoints_and_rejects_corruption() {
+    let dir = temp_dir("dump");
+    let wal_dir = dir.join("wal");
+    let snapshot = dir.join("state.bin");
+    let server = ServeChild::start(&[
+        "--origin",
+        "2012-05-01",
+        "--window",
+        "1",
+        "--wal-dir",
+        wal_dir.to_str().unwrap(),
+        "--snapshot",
+        snapshot.to_str().unwrap(),
+    ]);
+    let replies = server.rpcs(&["INGEST 5 2012-05-03 1 2", "INGEST 9 2012-05-04 7"]);
+    assert_eq!(replies, ["OK 0", "OK 0"]);
+    let (status, _) = server.shut_down();
+    assert!(status.success());
+    let checkpoint = std::fs::read_dir(&wal_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .expect("shutdown wrote a checkpoint");
+
+    let from_snapshot = run(&["dump", snapshot.to_str().unwrap()]);
+    assert!(from_snapshot.status.success(), "{}", stderr(&from_snapshot));
+    let text = stdout(&from_snapshot);
+    assert!(text.starts_with("#monitor,"), "{text}");
+    assert!(text.lines().any(|l| l.starts_with("c,5,")), "{text}");
+    assert!(text.lines().any(|l| l == "p,9,7,"), "{text}");
+    let from_checkpoint = run(&["dump", checkpoint.to_str().unwrap()]);
+    assert!(
+        from_checkpoint.status.success(),
+        "{}",
+        stderr(&from_checkpoint)
+    );
+    assert_eq!(stdout(&from_checkpoint), text, "same state, same rendering");
+    assert!(stderr(&from_checkpoint).contains("checkpoint lsn 2"));
+
+    let mut bytes = std::fs::read(&checkpoint).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&checkpoint, &bytes).unwrap();
+    let corrupt = run(&["dump", checkpoint.to_str().unwrap()]);
+    assert!(!corrupt.status.success());
+    assert!(
+        stderr(&corrupt).contains("checksum"),
+        "{}",
+        stderr(&corrupt)
+    );
+
+    let text_file = dir.join("state.txt");
+    std::fs::write(&text_file, &text).unwrap();
+    let neither = run(&["dump", text_file.to_str().unwrap()]);
+    assert!(!neither.status.success());
+    assert!(
+        stderr(&neither).contains("not a binary monitor snapshot"),
+        "{}",
+        stderr(&neither)
+    );
+    assert!(!run(&["dump"]).status.success(), "FILE is required");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -334,7 +475,7 @@ fn serve_responds_over_tcp_and_writes_snapshot_on_shutdown() {
     use std::io::{BufRead, BufReader, Write};
 
     let dir = temp_dir("servetcp");
-    let snapshot = dir.join("state.csv");
+    let snapshot = dir.join("state.bin");
     let mut child = Command::new(bin())
         .args([
             "serve",
@@ -397,7 +538,8 @@ fn serve_responds_over_tcp_and_writes_snapshot_on_shutdown() {
         closed.lines().all(|l| l.starts_with("CLOSED 5 ")),
         "{closed}"
     );
-    assert!(rpc(&mut writer, &mut reader, "SCORE 5").starts_with("SCORE 5 "));
+    let score = rpc(&mut writer, &mut reader, "SCORE 5");
+    assert!(score.starts_with("SCORE 5 "), "{score}");
     assert_eq!(rpc(&mut writer, &mut reader, "SHUTDOWN"), "OK draining");
 
     let status = child.wait().expect("serve must exit");
@@ -406,9 +548,21 @@ fn serve_responds_over_tcp_and_writes_snapshot_on_shutdown() {
     std::io::Read::read_to_string(&mut child_out, &mut rest).unwrap();
     assert!(rest.contains("served 5 requests"), "{rest}");
     assert!(rest.contains("snapshot written"), "{rest}");
-    // The checkpoint restores and still knows customer 5.
-    let text = std::fs::read_to_string(&snapshot).unwrap();
-    assert!(text.lines().any(|l| l.starts_with("c,5,")), "{text}");
+    // The snapshot still knows customer 5, and a server restored from
+    // it at another shard count answers the identical SCORE line.
+    let dump = run(&["dump", snapshot.to_str().unwrap()]);
+    assert!(dump.status.success(), "{}", stderr(&dump));
+    assert!(stdout(&dump).lines().any(|l| l.starts_with("c,5,")));
+    for shards in ["1", "3"] {
+        let restored =
+            ServeChild::start(&["--restore", snapshot.to_str().unwrap(), "--shards", shards]);
+        assert_eq!(
+            restored.rpcs(&["SCORE 5"]),
+            [score.as_str()],
+            "shards {shards}"
+        );
+        assert!(restored.shut_down().0.success());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -21,48 +21,33 @@ use std::collections::HashMap;
 /// Binary monitor-snapshot magic: "ATTRMON" + format version 1.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ATTRMON1";
 
-/// A structured error from [`StabilityMonitor::restore`] /
-/// [`restore_bytes`](StabilityMonitor::restore_bytes): names where in
-/// the checkpoint the error was detected and, when attributable, the
-/// field that failed, so an operator restoring a server snapshot sees
-/// *where* the file is bad instead of a context-free message.
+/// A structured error from
+/// [`restore_bytes`](StabilityMonitor::restore_bytes): names the field
+/// that failed, when attributable, so an operator restoring a server
+/// snapshot sees *what* in the file is bad instead of a context-free
+/// message. Byte offsets, where useful, are in the message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoreError {
-    /// 1-based line of the checkpoint the error was detected at. `0`
-    /// means the checkpoint was binary (no lines); the byte offset is
-    /// carried in the message instead.
-    pub line: usize,
-    /// The field that failed to parse, when attributable.
+    /// The field that failed to decode, when attributable.
     pub field: Option<&'static str>,
     /// What went wrong.
     pub message: String,
 }
 
 impl RestoreError {
-    fn new(line: usize, field: Option<&'static str>, message: impl Into<String>) -> RestoreError {
+    fn new(field: Option<&'static str>, message: impl Into<String>) -> RestoreError {
         RestoreError {
-            line,
             field,
             message: message.into(),
         }
-    }
-
-    /// An error from the binary format (`line = 0`).
-    fn binary(field: Option<&'static str>, message: impl Into<String>) -> RestoreError {
-        RestoreError::new(0, field, message)
     }
 }
 
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "binary checkpoint")?;
-        } else {
-            write!(f, "checkpoint line {}", self.line)?;
-        }
         match self.field {
-            Some(field) => write!(f, ", field `{}`: {}", field, self.message),
-            None => write!(f, ": {}", self.message),
+            Some(field) => write!(f, "monitor snapshot, field `{}`: {}", field, self.message),
+            None => write!(f, "monitor snapshot: {}", self.message),
         }
     }
 }
@@ -337,16 +322,17 @@ impl StabilityMonitor {
         Some(state.tracker.score_window(k, u.items(), 0, &mut Vec::new()))
     }
 
-    /// Serialize the monitor's state to a CSV checkpoint.
+    /// Render the monitor's state as text, for people and for readable
+    /// test diffs (`attrition dump` prints it). Nothing parses it back:
+    /// the on-disk encoding is [`snapshot_bytes`](StabilityMonitor::snapshot_bytes).
     ///
-    /// Schema: a header row `#monitor,<windows grid origin days>,<length
-    /// code>,<alpha>,<max_explanations>`, then one row per `(customer,
-    /// kind, …)`: `c,<customer>,<current_window>,<windows_observed>` for
-    /// customer headers, `i,<customer>,<item>,<count>` for tracker
-    /// counters, `p,<customer>,<item>` for pending (current-window) items
-    /// (repeated per occurrence). Restoring with
-    /// [`StabilityMonitor::restore`] yields a monitor whose future
-    /// outputs are identical to the original's.
+    /// Layout: a header row `#monitor,<windows grid origin days>,<length
+    /// code>,<alpha>,<max_explanations>`, then per customer in ascending
+    /// id order `c,<customer>,<current_window>,<windows_observed>`, one
+    /// `i,<customer>,<item>,<count>` row per tracked item (ascending) and
+    /// one `p,<customer>,<item>,` row (empty fourth field) per pending
+    /// (current-window) item occurrence. Two monitors render equal text
+    /// exactly when their binary snapshots are equal.
     pub fn snapshot(&self) -> String {
         use attrition_util::csv::CsvWriter;
         let mut w = CsvWriter::new();
@@ -414,11 +400,9 @@ impl StabilityMonitor {
     /// Because blocks are self-delimiting and globally sorted, shard
     /// snapshots merge by interleaving blocks
     /// ([`merge_snapshot_bytes`](StabilityMonitor::merge_snapshot_bytes))
-    /// without re-encoding. Restoring with
-    /// [`restore_bytes`](StabilityMonitor::restore_bytes) is equivalent
-    /// to restoring the text [`snapshot`](StabilityMonitor::snapshot)
-    /// of the same state: the monitors produce bit-identical scores and
-    /// snapshots from then on.
+    /// without re-encoding. A monitor restored with
+    /// [`restore_bytes`](StabilityMonitor::restore_bytes) produces
+    /// bit-identical scores and snapshots from then on.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         StabilityMonitor::merge_snapshot_bytes([self])
     }
@@ -500,18 +484,18 @@ impl StabilityMonitor {
     /// corrupt internal state.
     pub fn restore_bytes(bytes: &[u8]) -> Result<StabilityMonitor, RestoreError> {
         let be = |field: Option<&'static str>| {
-            move |e: attrition_store::ByteError| RestoreError::binary(field, e.to_string())
+            move |e: attrition_store::ByteError| RestoreError::new(field, e.to_string())
         };
         let mut r = ByteReader::new(bytes);
         let magic = r.take(8).map_err(be(Some("magic")))?;
         if magic[..7] != SNAPSHOT_MAGIC[..7] {
-            return Err(RestoreError::binary(
+            return Err(RestoreError::new(
                 Some("magic"),
                 "not a binary monitor snapshot",
             ));
         }
         if magic != SNAPSHOT_MAGIC {
-            return Err(RestoreError::binary(
+            return Err(RestoreError::new(
                 Some("magic"),
                 format!(
                     "unsupported snapshot version {:?} (expected {:?})",
@@ -526,7 +510,7 @@ impl StabilityMonitor {
             0 => WindowSpec::days(origin, value),
             1 => WindowSpec::months(origin, value),
             other => {
-                return Err(RestoreError::binary(
+                return Err(RestoreError::new(
                     Some("length"),
                     format!("unknown window length kind {other}"),
                 ))
@@ -534,13 +518,13 @@ impl StabilityMonitor {
         };
         let alpha = r.f64().map_err(be(Some("alpha")))?;
         let params = StabilityParams::new(alpha)
-            .map_err(|e| RestoreError::binary(Some("alpha"), e.to_string()))?;
+            .map_err(|e| RestoreError::new(Some("alpha"), e.to_string()))?;
         let max_explanations = r.u64().map_err(be(Some("max_explanations")))? as usize;
         let n_customers = r.u64().map_err(be(Some("customers")))?;
         // A customer block is at least 24 bytes; reject impossible
         // counts before reserving anything.
         if n_customers > (r.remaining() / 24) as u64 {
-            return Err(RestoreError::binary(
+            return Err(RestoreError::new(
                 Some("customers"),
                 format!(
                     "customer count {n_customers} cannot fit in {} remaining bytes",
@@ -556,7 +540,7 @@ impl StabilityMonitor {
         for _ in 0..n_customers {
             let customer = CustomerId::new(r.u64().map_err(be(Some("customer")))?);
             if prev.is_some_and(|p| p >= customer) {
-                return Err(RestoreError::binary(
+                return Err(RestoreError::new(
                     Some("customer"),
                     format!("customer ids not strictly ascending at {customer}"),
                 ));
@@ -567,7 +551,7 @@ impl StabilityMonitor {
             let n_items = r.u32().map_err(be(Some("items")))? as usize;
             let n_pending = r.u32().map_err(be(Some("pending")))? as usize;
             if n_items > r.remaining() / 8 || n_pending > (r.remaining() - n_items * 8) / 4 {
-                return Err(RestoreError::binary(
+                return Err(RestoreError::new(
                     Some("items"),
                     format!(
                         "{customer}: {n_items} items + {n_pending} pending cannot fit in {} \
@@ -583,7 +567,7 @@ impl StabilityMonitor {
                 counts.push(r.u32().map_err(be(Some("count")))?);
             }
             let tracker = SignificanceTracker::from_parts(params, windows, items, counts)
-                .map_err(|m| RestoreError::binary(Some("count"), format!("{customer}: {m}")))?;
+                .map_err(|m| RestoreError::new(Some("count"), format!("{customer}: {m}")))?;
             let mut pending = Vec::with_capacity(n_pending);
             for _ in 0..n_pending {
                 pending.push(ItemId::new(r.u32().map_err(be(Some("pending")))?));
@@ -601,160 +585,11 @@ impl StabilityMonitor {
         Ok(monitor)
     }
 
-    /// Restore from either snapshot format, detected by leading bytes:
-    /// `b"ATTRMON"` selects the binary decoder, `b"#monitor"` the text
-    /// parser. The two decoders produce interchangeable monitors — the
-    /// format round-trip property tests assert their snapshots and
-    /// scores are bit-identical.
+    /// An alias of [`restore_bytes`](StabilityMonitor::restore_bytes),
+    /// kept because the benchmark (`perfbench/src/trace.rs`) times
+    /// restores by this name.
     pub fn restore_any(bytes: &[u8]) -> Result<StabilityMonitor, RestoreError> {
-        if bytes.starts_with(b"ATTRMON") {
-            return StabilityMonitor::restore_bytes(bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            RestoreError::new(
-                1,
-                None,
-                format!("checkpoint is neither binary nor UTF-8: {e}"),
-            )
-        })?;
-        StabilityMonitor::restore(text)
-    }
-
-    /// Restore a monitor from a [`snapshot`](StabilityMonitor::snapshot).
-    ///
-    /// Errors are [structured](RestoreError): they carry the 1-based
-    /// checkpoint line and the offending field.
-    pub fn restore(text: &str) -> Result<StabilityMonitor, RestoreError> {
-        use attrition_util::csv::parse_document;
-        let mut lines = parse_document(text);
-        let header = lines
-            .next()
-            .ok_or_else(|| RestoreError::new(1, None, "empty checkpoint"))?
-            .ok_or_else(|| RestoreError::new(1, None, "malformed header record"))?;
-        if header.len() != 5 || header[0] != "#monitor" {
-            return Err(RestoreError::new(
-                1,
-                None,
-                "not a monitor checkpoint (expected a 5-field `#monitor` header)",
-            ));
-        }
-        let origin = Date::from_days(header[1].parse().map_err(|_| {
-            RestoreError::new(
-                1,
-                Some("origin"),
-                format!("not a day count: {:?}", header[1]),
-            )
-        })?);
-        let length_err =
-            || RestoreError::new(1, Some("length"), format!("bad code {:?}", header[2]));
-        let spec = match header[2].split_at(1.min(header[2].len())) {
-            ("d", days) => WindowSpec::days(origin, days.parse().map_err(|_| length_err())?),
-            ("m", months) => WindowSpec::months(origin, months.parse().map_err(|_| length_err())?),
-            _ => return Err(length_err()),
-        };
-        let alpha: f64 = header[3].parse().map_err(|_| {
-            RestoreError::new(1, Some("alpha"), format!("not a number: {:?}", header[3]))
-        })?;
-        let params = StabilityParams::new(alpha)
-            .map_err(|e| RestoreError::new(1, Some("alpha"), e.to_string()))?;
-        let max_explanations: usize = header[4].parse().map_err(|_| {
-            RestoreError::new(
-                1,
-                Some("max_explanations"),
-                format!("not a count: {:?}", header[4]),
-            )
-        })?;
-        let mut monitor =
-            StabilityMonitor::new(spec, params).with_max_explanations(max_explanations);
-        for (idx, record) in lines.enumerate() {
-            let line = idx + 2;
-            let row = record.ok_or_else(|| RestoreError::new(line, None, "malformed record"))?;
-            let show = |pos: usize| match row.get(pos) {
-                Some(value) => format!("{value:?}"),
-                None => "missing".to_owned(),
-            };
-            let customer =
-                CustomerId::new(row.get(1).and_then(|v| v.parse().ok()).ok_or_else(|| {
-                    RestoreError::new(
-                        line,
-                        Some("customer"),
-                        format!("not a customer id: {}", show(1)),
-                    )
-                })?);
-            let field_u32 = |pos: usize, field: &'static str| -> Result<u32, RestoreError> {
-                row.get(pos).and_then(|v| v.parse().ok()).ok_or_else(|| {
-                    RestoreError::new(line, Some(field), format!("not a number: {}", show(pos)))
-                })
-            };
-            match row.first().map(String::as_str) {
-                Some("c") => {
-                    let current_window = field_u32(2, "current_window")?;
-                    let windows = field_u32(3, "windows_observed")?;
-                    if monitor.index.contains_key(&customer) {
-                        return Err(RestoreError::new(
-                            line,
-                            Some("customer"),
-                            format!("duplicate customer row for {customer}"),
-                        ));
-                    }
-                    // Counters are replayed by the `i` rows below.
-                    let tracker = SignificanceTracker::from_parts(params, windows, vec![], vec![])
-                        .expect("an empty tracker is valid at any window count");
-                    monitor.push_state(
-                        customer,
-                        CustomerState {
-                            tracker,
-                            current_window,
-                            pending: Vec::new(),
-                        },
-                    );
-                }
-                Some("i") => {
-                    let item = ItemId::new(field_u32(2, "item")?);
-                    let count = field_u32(3, "count")?;
-                    let slot = monitor.slot(customer).ok_or_else(|| {
-                        RestoreError::new(
-                            line,
-                            Some("customer"),
-                            format!("item row for {customer} precedes its customer row"),
-                        )
-                    })?;
-                    let state = &mut monitor.states[slot];
-                    // Validate rather than let set_occurrences assert: a
-                    // corrupt checkpoint must fail, not panic.
-                    if count > state.tracker.windows_observed() {
-                        return Err(RestoreError::new(
-                            line,
-                            Some("count"),
-                            format!(
-                                "occurrence count {count} exceeds {} observed windows",
-                                state.tracker.windows_observed()
-                            ),
-                        ));
-                    }
-                    state.tracker.set_occurrences(item, count);
-                }
-                Some("p") => {
-                    let item = ItemId::new(field_u32(2, "item")?);
-                    let slot = monitor.slot(customer).ok_or_else(|| {
-                        RestoreError::new(
-                            line,
-                            Some("customer"),
-                            format!("pending row for {customer} precedes its customer row"),
-                        )
-                    })?;
-                    monitor.states[slot].pending.push(item);
-                }
-                other => {
-                    return Err(RestoreError::new(
-                        line,
-                        Some("kind"),
-                        format!("unknown row kind {other:?} (expected c, i or p)"),
-                    ))
-                }
-            }
-        }
-        Ok(monitor)
+        StabilityMonitor::restore_bytes(bytes)
     }
 }
 
@@ -967,9 +802,9 @@ mod tests {
 
         let mut original = monitor();
         feed_first(&mut original);
-        let checkpoint = original.snapshot();
+        let checkpoint = original.snapshot_bytes();
 
-        let mut restored = StabilityMonitor::restore(&checkpoint).expect("restores");
+        let mut restored = StabilityMonitor::restore_bytes(&checkpoint).expect("restores");
         assert_eq!(restored.num_customers(), original.num_customers());
         // Previews agree immediately after restore.
         for c in [CustomerId::new(1), CustomerId::new(2)] {
@@ -996,36 +831,50 @@ mod tests {
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(StabilityMonitor::restore("").is_err());
-        assert!(StabilityMonitor::restore("not,a,checkpoint\n").is_err());
-        assert!(StabilityMonitor::restore("#monitor,0,x9,2,5\n").is_err());
-        assert!(StabilityMonitor::restore("#monitor,0,m1,0.5,5\n").is_err());
-        // Item row before its customer row.
-        let bad = "#monitor,15461,m1,2,5\ni,1,3,2\n";
-        assert!(StabilityMonitor::restore(bad).is_err());
+        assert!(StabilityMonitor::restore_bytes(b"").is_err());
+        assert!(StabilityMonitor::restore_bytes(b"not,a,checkpoint\n").is_err());
+        // The text rendering is not an encoding anything restores.
+        let text = monitor().snapshot();
+        assert!(StabilityMonitor::restore_bytes(text.as_bytes()).is_err());
+        // A valid header followed by a customer count the body cannot hold.
+        let mut bad = monitor().snapshot_bytes();
+        let n = bad.len();
+        bad[n - 8..].copy_from_slice(&3u64.to_le_bytes());
+        assert!(StabilityMonitor::restore_bytes(&bad).is_err());
     }
 
     #[test]
-    fn restore_errors_name_line_and_field() {
-        let e = StabilityMonitor::restore("").unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.to_string().contains("line 1"));
+    fn restore_errors_name_the_field() {
+        let e = StabilityMonitor::restore_bytes(b"").unwrap_err();
+        assert_eq!(e.field, Some("magic"));
+        assert!(e.to_string().contains("field `magic`"), "{e}");
 
-        let e = StabilityMonitor::restore("#monitor,0,x9,2,5\n").unwrap_err();
-        assert_eq!((e.line, e.field), (1, Some("length")));
-
-        let e = StabilityMonitor::restore("#monitor,0,m1,0.5,5\n").unwrap_err();
-        assert_eq!((e.line, e.field), (1, Some("alpha")));
-
-        // Bad count on the third line (header + customer row + item row).
-        let bad = "#monitor,15461,m1,2,5\nc,1,0,0\ni,1,3,oops\n";
-        let e = StabilityMonitor::restore(bad).unwrap_err();
-        assert_eq!((e.line, e.field), (3, Some("count")));
+        let mut m = monitor();
+        m.ingest(CustomerId::new(1), d(2012, 5, 2), &b(&[3]));
+        m.ingest(CustomerId::new(1), d(2012, 6, 2), &b(&[3]));
+        let clean = m.snapshot_bytes();
+        // Header: magic 8, origin 4, length kind 1 + value 4, alpha 8,
+        // max_explanations 8, customers 8 = 41 bytes.
+        let mut bad = clean.clone();
+        bad[12] = 7;
+        assert_eq!(
+            StabilityMonitor::restore_bytes(&bad).unwrap_err().field,
+            Some("length")
+        );
+        let mut bad = clean.clone();
+        bad[17..25].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
+        assert_eq!(
+            StabilityMonitor::restore_bytes(&bad).unwrap_err().field,
+            Some("alpha")
+        );
+        // Customer block: id 8, current_window 4, windows_observed 4,
+        // items 4, pending 4, then (item, count) pairs; a count above
+        // the observed windows is named.
+        let mut bad = clean;
+        bad[41 + 24 + 4..41 + 24 + 8].copy_from_slice(&9u32.to_le_bytes());
+        let e = StabilityMonitor::restore_bytes(&bad).unwrap_err();
+        assert_eq!(e.field, Some("count"));
         assert!(e.to_string().contains("field `count`"), "{e}");
-
-        let bad = "#monitor,15461,m1,2,5\nq,1,3,2\n";
-        let e = StabilityMonitor::restore(bad).unwrap_err();
-        assert_eq!((e.line, e.field), (2, Some("kind")));
     }
 
     #[test]
@@ -1053,11 +902,12 @@ mod tests {
     #[test]
     fn empty_monitor_snapshot_roundtrips() {
         let m = monitor();
-        let restored = StabilityMonitor::restore(&m.snapshot()).unwrap();
+        let restored = StabilityMonitor::restore_bytes(&m.snapshot_bytes()).unwrap();
         assert_eq!(restored.num_customers(), 0);
+        assert_eq!(restored.snapshot_bytes(), m.snapshot_bytes());
     }
 
-    /// snapshot → restore → snapshot is textually lossless on random
+    /// snapshot → restore → snapshot is byte-for-byte lossless on random
     /// ingest streams — the graceful-shutdown path of the serving layer
     /// depends on this (a restored server must write the same
     /// checkpoint it was started from if nothing else arrives).
@@ -1091,10 +941,14 @@ mod tests {
                 for (customer, date, items) in stream {
                     m.ingest(CustomerId::new(*customer), *date, &b(items));
                 }
-                let snap1 = m.snapshot();
-                let restored = StabilityMonitor::restore(&snap1).expect("snapshot restores");
-                let snap2 = restored.snapshot();
-                assert_eq!(snap1, snap2, "roundtrip changed the checkpoint");
+                let snap1 = m.snapshot_bytes();
+                let restored = StabilityMonitor::restore_bytes(&snap1).expect("snapshot restores");
+                assert_eq!(
+                    snap1,
+                    restored.snapshot_bytes(),
+                    "roundtrip changed the checkpoint"
+                );
+                assert_eq!(m.snapshot(), restored.snapshot());
                 assert_eq!(restored.num_customers(), m.num_customers());
             },
         );

@@ -312,41 +312,6 @@ impl SignificanceTracker {
             .map(move |(&item, &c)| (item, c, self.windows - c, self.significance_of_count(c)))
     }
 
-    /// Overwrite `c` for an item directly. Exists for checkpoint
-    /// restoration ([`StabilityMonitor::restore`]
-    /// (crate::incremental::StabilityMonitor::restore)); normal updates
-    /// go through [`observe_window`](SignificanceTracker::observe_window).
-    pub fn set_occurrences(&mut self, item: ItemId, c: u32) {
-        assert!(
-            c <= self.windows,
-            "occurrence count {c} exceeds observed windows {}",
-            self.windows
-        );
-        let old = match self.items.binary_search(&item) {
-            Ok(i) => {
-                let old = self.counts[i];
-                if c == 0 {
-                    self.items.remove(i);
-                    self.counts.remove(i);
-                } else {
-                    self.counts[i] = c;
-                }
-                old
-            }
-            Err(i) => {
-                if c > 0 {
-                    self.items.insert(i, item);
-                    self.counts.insert(i, c);
-                }
-                0
-            }
-        };
-        if old != c {
-            self.hist_remove(old);
-            self.hist_insert(c);
-        }
-    }
-
     /// The close step of the batch engine and the streaming monitor: score
     /// window `k` (sorted, deduplicated items `u`), leave its `max_lost`
     /// most significant absent items in `top`, most significant first, then
@@ -711,17 +676,18 @@ mod tests {
         );
     }
 
-    /// Histogram invariants on arbitrary histories (including direct
-    /// `set_occurrences` edits, the restore path): `Σ_{c≥1} hist[c]`
-    /// equals the tracked-item count, the histogram matches the
-    /// per-item counts, and trailing buckets are trimmed.
+    /// Histogram invariants on arbitrary histories, for trackers built
+    /// both by observing windows and by the restore path
+    /// ([`SignificanceTracker::from_parts`] over edited count columns):
+    /// `Σ_{c≥1} hist[c]` equals the tracked-item count, the histogram
+    /// matches the per-item counts, and trailing buckets are trimmed.
     #[test]
     fn histogram_consistent_with_counts() {
         forall(
             256,
             |rng| {
                 let history = gen_history(rng, 10, 5, 12);
-                // Optional post-hoc edits exercising set_occurrences.
+                // Optional count edits, rebuilt through from_parts.
                 let edits = gen_vec(rng, 0, 4, |r| {
                     (r.u64_below(10) as u32, r.u64_below(4) as u32)
                 });
@@ -732,9 +698,22 @@ mod tests {
                 for u in history {
                     t.observe_window(&b(u));
                 }
-                for &(item, c) in edits {
-                    let c = c.min(t.windows_observed());
-                    t.set_occurrences(ItemId::new(item), c);
+                if !edits.is_empty() {
+                    let mut columns: std::collections::BTreeMap<ItemId, u32> =
+                        t.tracked_items().map(|(item, c, _, _)| (item, c)).collect();
+                    for &(item, c) in edits {
+                        match c.min(t.windows_observed()) {
+                            0 => columns.remove(&ItemId::new(item)),
+                            c => columns.insert(ItemId::new(item), c),
+                        };
+                    }
+                    t = SignificanceTracker::from_parts(
+                        StabilityParams::PAPER,
+                        t.windows_observed(),
+                        columns.keys().copied().collect(),
+                        columns.values().copied().collect(),
+                    )
+                    .expect("edited columns stay valid");
                 }
                 let hist = t.count_histogram();
                 // Rebuild the histogram from the per-item counts.
@@ -856,25 +835,6 @@ mod tests {
                 }
             },
         );
-    }
-
-    #[test]
-    fn set_occurrences_maintains_histogram() {
-        let mut t = tracker();
-        t.observe_window(&b(&[1, 2, 3]));
-        t.observe_window(&b(&[1, 2]));
-        t.observe_window(&b(&[1]));
-        assert_eq!(t.count_histogram(), &[0, 1, 1, 1]);
-        // Restore-style overwrite: drop item 1 to two occurrences.
-        t.set_occurrences(ItemId::new(1), 2);
-        assert_eq!(t.count_histogram(), &[0, 1, 2]);
-        // Remove item 3 entirely; trailing buckets stay trimmed.
-        t.set_occurrences(ItemId::new(3), 0);
-        assert_eq!(t.count_histogram(), &[0, 0, 2]);
-        assert_eq!(t.num_tracked(), 2);
-        // Overwriting with the same value is a no-op.
-        t.set_occurrences(ItemId::new(2), 2);
-        assert_eq!(t.count_histogram(), &[0, 0, 2]);
     }
 
     /// The recurrence the paper's S(p,k) = α^(c−l) obeys, checked on

@@ -55,11 +55,11 @@ fn independent_trackers_bit_identical() {
     });
 }
 
-/// (b) A monitor restored from a snapshot produces bit-identical
+/// (b) A monitor restored from a binary snapshot produces bit-identical
 /// previews *and* bit-identical future closed-window scores. The
-/// restore path rebuilds each tracker by replaying counters in
-/// checkpoint (ascending-item) order — a different insertion order than
-/// live ingest, which the old hash-order summation was sensitive to.
+/// restore path rebuilds each tracker from its sorted count columns in
+/// one pass — a different construction than live ingest, which the old
+/// hash-order summation was sensitive to.
 #[test]
 fn snapshot_restore_bit_identical() {
     let spec = WindowSpec::months(d(2012, 5, 1), 1);
@@ -87,8 +87,8 @@ fn snapshot_restore_bit_identical() {
                 let date = d(2012, 5, 1).add_months(*month) + *day;
                 original.ingest(CustomerId::new(*customer), date, &b(items));
             }
-            let mut restored =
-                StabilityMonitor::restore(&original.snapshot()).expect("snapshot restores");
+            let mut restored = StabilityMonitor::restore_bytes(&original.snapshot_bytes())
+                .expect("snapshot restores");
 
             for customer in original.customer_ids() {
                 let live = original.preview(customer).unwrap();

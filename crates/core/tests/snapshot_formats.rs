@@ -1,21 +1,21 @@
-//! Interoperability suite for the two monitor snapshot formats.
+//! Round-trip and robustness suite for the binary monitor snapshot
+//! (`ATTRMON1`), the one encoding monitor state is stored and shipped in.
+//! Property tests over random ingest streams pin three contracts:
 //!
-//! The text checkpoint (`#monitor,v1`) and the binary snapshot
-//! (`ATTRMON1`) encode the same state, so the suite pins three
-//! contracts with property tests over random ingest streams:
-//!
-//! 1. **Byte stability.** `restore(snapshot(m))` re-emits the identical
-//!    text, and `restore_bytes(snapshot_bytes(m))` the identical bytes —
-//!    each format is a fixed point of its own round-trip.
-//! 2. **Cross-format identity.** A monitor restored from the *text*
-//!    snapshot emits the same binary snapshot as the original (and vice
-//!    versa), and both restores score every customer bit-identically,
-//!    now and for all future closed windows.
-//! 3. **No panics on garbage.** `restore_bytes`/`restore_any` return a
-//!    named [`RestoreError`] — never panic — on truncated, bit-flipped,
+//! 1. **Byte stability.** `restore_bytes(snapshot_bytes(m))` re-emits the
+//!    identical bytes (and the identical text rendering).
+//! 2. **Sharding commutes.** Merging the blocks of a partitioned monitor
+//!    reproduces the whole monitor's snapshot byte for byte.
+//! 3. **No panics on garbage.** `restore_bytes` returns a named
+//!    [`RestoreError`] — never panics — on truncated, bit-flipped,
 //!    wrong-version, and arbitrary random input.
+//!
+//! That a restored monitor also *scores* bit-identically from then on is
+//! `tests/determinism.rs::snapshot_restore_bit_identical`.
+//!
+//! [`RestoreError`]: attrition_core::RestoreError
 
-use attrition_core::{StabilityMonitor, StabilityParams, WindowClosed, SNAPSHOT_MAGIC};
+use attrition_core::{StabilityMonitor, StabilityParams, SNAPSHOT_MAGIC};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date};
 use attrition_util::check::{forall, gen_vec};
@@ -55,100 +55,31 @@ fn build(stream: &[(u64, i32, i32, Vec<u32>)]) -> StabilityMonitor {
     monitor
 }
 
-/// Close every open window and collect the scores, bit-exactly.
-fn drain(m: &mut StabilityMonitor) -> Vec<WindowClosed> {
-    let mut out = Vec::new();
-    for customer in m.customer_ids() {
-        out.extend(m.ingest(customer, d(2013, 2, 10), &Basket::from_raw(&[3, 9])));
-    }
-    out.extend(m.flush_until(d(2013, 8, 1)));
-    out
-}
-
-fn assert_same_scores(a: &[WindowClosed], b: &[WindowClosed]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.customer, y.customer);
-        assert_eq!(x.point.window, y.point.window);
-        assert_eq!(x.point.value.to_bits(), y.point.value.to_bits());
-        assert_eq!(
-            x.point.present_significance.to_bits(),
-            y.point.present_significance.to_bits()
-        );
-        assert_eq!(
-            x.point.total_significance.to_bits(),
-            y.point.total_significance.to_bits()
-        );
-        assert_eq!(x.explanation.lost.len(), y.explanation.lost.len());
-        for (la, lb) in x.explanation.lost.iter().zip(&y.explanation.lost) {
-            assert_eq!(la.item, lb.item);
-            assert_eq!(la.significance.to_bits(), lb.significance.to_bits());
-        }
-    }
-}
-
-/// Contract 1 + 2: both formats are fixed points of their round-trips,
-/// and each restore re-emits the *other* format identically too.
+/// Contract 1: the binary snapshot is a fixed point of its round-trip,
+/// and the restored monitor renders the identical text.
 #[test]
-fn round_trips_are_byte_stable_in_both_formats() {
+fn round_trips_are_byte_stable() {
     forall(64, gen_stream, |stream| {
         let monitor = build(stream);
-        let text = monitor.snapshot();
         let bytes = monitor.snapshot_bytes();
-
-        let from_text = StabilityMonitor::restore(&text).expect("text restores");
-        let from_bytes = StabilityMonitor::restore_bytes(&bytes).expect("binary restores");
-
+        let restored = StabilityMonitor::restore_bytes(&bytes).expect("binary restores");
         assert_eq!(
-            from_text.snapshot(),
-            text,
-            "text round-trip not byte-stable"
-        );
-        assert_eq!(
-            from_bytes.snapshot_bytes(),
+            restored.snapshot_bytes(),
             bytes,
             "binary round-trip not byte-stable"
         );
-        // Cross-format: restoring one format re-emits the other exactly.
-        assert_eq!(from_text.snapshot_bytes(), bytes);
-        assert_eq!(from_bytes.snapshot(), text);
-
-        // restore_any sniffs the header and accepts both.
-        assert_eq!(
-            StabilityMonitor::restore_any(text.as_bytes())
-                .expect("restore_any(text)")
-                .snapshot(),
-            text
-        );
+        assert_eq!(restored.snapshot(), monitor.snapshot());
         assert_eq!(
             StabilityMonitor::restore_any(&bytes)
-                .expect("restore_any(binary)")
+                .expect("restore_any is restore_bytes")
                 .snapshot_bytes(),
             bytes
         );
     });
 }
 
-/// Contract 2, dynamically: the text-restored and binary-restored
-/// monitors produce bit-identical closed-window scores forever after.
-#[test]
-fn cross_format_restores_score_bit_identically() {
-    forall(48, gen_stream, |stream| {
-        let mut original = build(stream);
-        let mut from_text = StabilityMonitor::restore(&original.snapshot()).unwrap();
-        let mut from_bytes = StabilityMonitor::restore_bytes(&original.snapshot_bytes()).unwrap();
-
-        let live = drain(&mut original);
-        let text_scores = drain(&mut from_text);
-        let byte_scores = drain(&mut from_bytes);
-        assert_same_scores(&live, &text_scores);
-        assert_same_scores(&live, &byte_scores);
-    });
-}
-
-/// Sharding commutes with the binary encoding: partitioning a monitor
-/// and merging the shards' blocks reproduces the whole-monitor snapshot
-/// byte-for-byte.
+/// Contract 2: partitioning a monitor and merging the shards' blocks
+/// reproduces the whole-monitor snapshot byte-for-byte.
 #[test]
 fn sharded_merge_equals_whole_snapshot() {
     forall(32, gen_stream, |stream| {
@@ -183,10 +114,9 @@ fn truncated_binary_snapshots_fail_cleanly() {
     for len in 0..bytes.len() {
         let err = StabilityMonitor::restore_bytes(&bytes[..len])
             .expect_err("every proper prefix must be rejected");
-        assert_eq!(err.line, 0, "binary errors carry line 0");
         let shown = err.to_string();
         assert!(
-            shown.contains("binary checkpoint"),
+            shown.contains("monitor snapshot"),
             "unhelpful error at len {len}: {shown}"
         );
     }
@@ -246,10 +176,11 @@ fn wrong_version_and_magic_are_named_errors() {
         "{err}"
     );
 
-    // restore_any on non-UTF-8 garbage that is not a snapshot either.
-    let err = StabilityMonitor::restore_any(&[0xFF, 0xFE, 0x00, 0x01]).unwrap_err();
+    // The text rendering is for reading only: it is not a snapshot.
+    let text = build(&[(1, 0, 3, vec![4, 7])]).snapshot();
+    let err = StabilityMonitor::restore_bytes(text.as_bytes()).unwrap_err();
     assert!(
-        err.to_string().contains("neither binary nor UTF-8"),
+        err.to_string().contains("not a binary monitor snapshot"),
         "{err}"
     );
 }
@@ -273,24 +204,17 @@ fn restore_never_panics_on_arbitrary_bytes() {
         },
         |bytes| {
             let _ = StabilityMonitor::restore_bytes(bytes);
-            let _ = StabilityMonitor::restore_any(bytes);
         },
     );
 }
 
-/// The degenerate monitor — no customers at all — round-trips in both
-/// formats and across them.
+/// The degenerate monitor — no customers at all — round-trips.
 #[test]
 fn empty_monitor_round_trips() {
     let monitor = StabilityMonitor::new(spec(), StabilityParams::PAPER);
-    let text = monitor.snapshot();
     let bytes = monitor.snapshot_bytes();
-    assert_eq!(
-        StabilityMonitor::restore(&text).unwrap().snapshot_bytes(),
-        bytes
-    );
-    assert_eq!(
-        StabilityMonitor::restore_bytes(&bytes).unwrap().snapshot(),
-        text
-    );
+    let restored = StabilityMonitor::restore_bytes(&bytes).unwrap();
+    assert_eq!(restored.snapshot_bytes(), bytes);
+    assert_eq!(restored.snapshot(), monitor.snapshot());
+    assert_eq!(restored.num_customers(), 0);
 }

@@ -1,20 +1,13 @@
 //! Confidence intervals for the AUROC.
 //!
-//! Two estimators:
-//!
 //! * [`auroc_ci_delong`] — the DeLong (1988) asymptotic variance of the
 //!   Mann–Whitney AUC from its structural components, with a normal
 //!   approximation interval. Exact asymptotics, `O(n log n)` via ranks.
-//! * [`auroc_ci_bootstrap`] — stratified bootstrap percentile interval:
-//!   resample positives and negatives independently, recompute the AUC.
-//!   Distribution-free, costs `reps × O(n log n)`.
+//! * [`delong_paired_test`] — the paired DeLong test of two scores on
+//!   the same labels.
 //!
 //! The `fig1_auroc` experiment reports DeLong intervals so the per-window
 //! comparison between stability and RFM carries its uncertainty.
-
-use crate::roc::auroc;
-use attrition_util::stats::quantile_sorted;
-use attrition_util::Rng;
 
 /// `(auc, lo, hi)` with `NaN`s when a class is empty.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,59 +253,11 @@ pub fn delong_paired_test(
     })
 }
 
-/// Stratified bootstrap percentile interval at level `1 − alpha`.
-pub fn auroc_ci_bootstrap(
-    labels: &[bool],
-    scores: &[f64],
-    reps: usize,
-    alpha: f64,
-    rng: &mut Rng,
-) -> AurocCi {
-    assert_eq!(labels.len(), scores.len(), "labels/scores length mismatch");
-    assert!(reps > 0, "reps must be positive");
-    let pos: Vec<f64> = labels
-        .iter()
-        .zip(scores)
-        .filter(|(&l, _)| l)
-        .map(|(_, &s)| s)
-        .collect();
-    let neg: Vec<f64> = labels
-        .iter()
-        .zip(scores)
-        .filter(|(&l, _)| !l)
-        .map(|(_, &s)| s)
-        .collect();
-    if pos.is_empty() || neg.is_empty() {
-        return AurocCi::nan();
-    }
-    let auc = auroc(labels, scores);
-    let mut stats = Vec::with_capacity(reps);
-    let mut resampled_scores = Vec::with_capacity(pos.len() + neg.len());
-    let mut resampled_labels = Vec::with_capacity(pos.len() + neg.len());
-    for _ in 0..reps {
-        resampled_scores.clear();
-        resampled_labels.clear();
-        for _ in 0..pos.len() {
-            resampled_scores.push(pos[rng.usize_below(pos.len())]);
-            resampled_labels.push(true);
-        }
-        for _ in 0..neg.len() {
-            resampled_scores.push(neg[rng.usize_below(neg.len())]);
-            resampled_labels.push(false);
-        }
-        stats.push(auroc(&resampled_labels, &resampled_scores));
-    }
-    stats.sort_by(f64::total_cmp);
-    AurocCi {
-        auc,
-        lo: quantile_sorted(&stats, alpha / 2.0),
-        hi: quantile_sorted(&stats, 1.0 - alpha / 2.0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roc::auroc;
+    use attrition_util::Rng;
 
     fn scored(n: usize, separation: f64, seed: u64) -> (Vec<bool>, Vec<f64>) {
         let mut rng = Rng::seed_from_u64(seed);
@@ -373,25 +318,6 @@ mod tests {
     fn delong_degenerate_nan() {
         let ci = auroc_ci_delong(&[true, true], &[0.1, 0.2], 0.05);
         assert!(ci.auc.is_nan());
-    }
-
-    #[test]
-    fn bootstrap_brackets_point_estimate() {
-        let (labels, scores) = scored(300, 1.0, 3);
-        let mut rng = Rng::seed_from_u64(9);
-        let ci = auroc_ci_bootstrap(&labels, &scores, 300, 0.05, &mut rng);
-        assert!(ci.lo <= ci.auc && ci.auc <= ci.hi, "{ci:?}");
-        assert!(ci.hi - ci.lo < 0.2, "interval too wide: {ci:?}");
-    }
-
-    #[test]
-    fn bootstrap_and_delong_agree_roughly() {
-        let (labels, scores) = scored(1000, 1.0, 4);
-        let mut rng = Rng::seed_from_u64(10);
-        let boot = auroc_ci_bootstrap(&labels, &scores, 500, 0.05, &mut rng);
-        let delong = auroc_ci_delong(&labels, &scores, 0.05);
-        assert!((boot.lo - delong.lo).abs() < 0.02, "{boot:?} vs {delong:?}");
-        assert!((boot.hi - delong.hi).abs() < 0.02, "{boot:?} vs {delong:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! [`Engine::wal_synced_seq`]: attrition_serve::Engine::wal_synced_seq
 
-use attrition_serve::checkpoint::{self, CheckpointFormat};
+use attrition_serve::checkpoint;
 use attrition_serve::wal::{read_log, Frames, WalRecord, WAL_FILE};
 use attrition_serve::Storage;
 use std::path::{Path, PathBuf};
@@ -37,9 +37,7 @@ pub enum Shipment {
     Snapshot {
         /// The LSN the snapshot covers.
         lsn: u64,
-        /// On-disk framing of the body.
-        format: CheckpointFormat,
-        /// The raw checkpoint body.
+        /// The checkpoint body: a binary monitor snapshot.
         body: Vec<u8>,
     },
 }
@@ -113,7 +111,6 @@ impl ReplicationLog {
                     Ok(ckpt) => {
                         return Ok(Shipment::Snapshot {
                             lsn: ckpt.lsn,
-                            format: ckpt.format,
                             body: ckpt.body,
                         })
                     }
@@ -203,9 +200,8 @@ mod tests {
 
         // A replica at 2 cannot get record 3: snapshot instead.
         match log.fetch(2, 100, 7).unwrap() {
-            Shipment::Snapshot { lsn, format, body } => {
+            Shipment::Snapshot { lsn, body } => {
                 assert_eq!(lsn, 5);
-                assert_eq!(format, CheckpointFormat::Binary);
                 assert_eq!(body, b"ATTRMON1-placeholder-body");
             }
             other => panic!("expected snapshot, got {other:?}"),

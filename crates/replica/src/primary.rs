@@ -61,16 +61,10 @@ pub(crate) fn answer_repl(line: &str, epoch: u64, engine: &Engine, log: &Replica
             }
             .to_wire()
         }
-        Ok(Shipment::Snapshot { lsn, format, body }) => {
+        Ok(Shipment::Snapshot { lsn, body }) => {
             attrition_obs::gauge("serve.repl.shipped_seq").set(lsn as i64);
             attrition_obs::gauge("serve.repl.epoch").set(epoch as i64);
-            FetchResponse::Snapshot {
-                epoch,
-                lsn,
-                format,
-                body,
-            }
-            .to_wire()
+            FetchResponse::Snapshot { epoch, lsn, body }.to_wire()
         }
         Err(e) => format!("ERR replication fetch failed: {e}"),
     }

@@ -56,7 +56,7 @@ use crate::log::ReplicationLog;
 use crate::primary::{answer_rejoin, answer_repl};
 use crate::wire::FetchRequest;
 use crate::wire::FetchResponse;
-use attrition_serve::checkpoint::{self, CheckpointFormat};
+use attrition_serve::checkpoint;
 use attrition_serve::engine::{ShutdownReport, WAL_FAILURE};
 use attrition_serve::recovery::{recover_in, Fallback, RecoveryError, RecoveryStats};
 use attrition_serve::wal::WalRecord;
@@ -319,12 +319,7 @@ impl ReplicaEngine {
                     lag,
                 })
             }
-            FetchResponse::Snapshot {
-                epoch,
-                lsn,
-                format,
-                body,
-            } => {
+            FetchResponse::Snapshot { epoch, lsn, body } => {
                 self.fence(*epoch)?;
                 let applied = self.applied_seq();
                 if *lsn <= applied {
@@ -335,7 +330,7 @@ impl ReplicaEngine {
                         ..Applied::default()
                     });
                 }
-                self.install_snapshot(*lsn, *format, body)
+                self.install_snapshot(*lsn, body)
                     .map_err(|e| format!("snapshot install failed: {e}"))?;
                 let applied = self.applied_seq();
                 attrition_obs::gauge("serve.repl.applied_seq").set(applied as i64);
@@ -483,12 +478,7 @@ impl ReplicaEngine {
     /// Install a bootstrap checkpoint: truncate the local WAL (its
     /// records are all below the snapshot), write the checkpoint file,
     /// and rebuild the inner engine through the ordinary recovery path.
-    fn install_snapshot(
-        &self,
-        lsn: u64,
-        format: CheckpointFormat,
-        body: &[u8],
-    ) -> std::io::Result<()> {
+    fn install_snapshot(&self, lsn: u64, body: &[u8]) -> std::io::Result<()> {
         let mut guard = self
             .inner
             .write()
@@ -496,20 +486,7 @@ impl ReplicaEngine {
         let wal_path = self.config.wal_dir.join(WAL_FILE);
         self.storage.set_len(&wal_path, 0)?;
         self.storage.sync(&wal_path)?;
-        match format {
-            CheckpointFormat::Text => {
-                let text = std::str::from_utf8(body).map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "text checkpoint body is not UTF-8",
-                    )
-                })?;
-                checkpoint::write_in(&*self.storage, &self.config.wal_dir, lsn, text)?;
-            }
-            CheckpointFormat::Binary => {
-                checkpoint::write_binary_in(&*self.storage, &self.config.wal_dir, lsn, body)?;
-            }
-        }
+        checkpoint::write_binary_in(&*self.storage, &self.config.wal_dir, lsn, body)?;
         self.reload(&mut guard)
     }
 

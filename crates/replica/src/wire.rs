@@ -7,8 +7,8 @@
 //! → REPL <epoch> <after> <max>
 //! ← RBATCH <epoch> <durable> <n>        (records available)
 //!   R <seq> <crc> <op...>               (× n)
-//! ← RSNAP <epoch> <lsn> <format> <len> <crc>   (log truncated past
-//!   <hex body>                           `after`: bootstrap snapshot)
+//! ← RSNAP <epoch> <lsn> <len> <crc>    (log truncated past `after`:
+//!   <hex body>                           bootstrap snapshot)
 //! ← ERR <reason>
 //! ```
 //!
@@ -32,15 +32,14 @@
 //! `<crc>` on an `R` line is CRC-32 over `seq: u64 LE ++ op` — the
 //! *identical* bytes the WAL frame checksums, so a record's integrity
 //! check is the same computation on both sides of the wire. The `RSNAP`
-//! `<crc>`/`<len>` cover the raw checkpoint body (hex-decoded); the
-//! body itself re-verifies once more when the checkpoint file is read
-//! back after installation.
+//! `<crc>`/`<len>` cover the raw checkpoint body (hex-decoded), a binary
+//! monitor snapshot; the body itself re-verifies once more when the
+//! checkpoint file is read back after installation.
 //!
 //! Everything here is pure encode/decode — no sockets, no engines — so
 //! the deterministic simulator and the real TCP transport ship
 //! byte-identical lines.
 
-use attrition_serve::checkpoint::CheckpointFormat;
 use attrition_serve::wal::WalRecord;
 use attrition_util::crc::crc32;
 
@@ -218,9 +217,7 @@ pub enum FetchResponse {
         epoch: u64,
         /// The LSN the snapshot covers.
         lsn: u64,
-        /// On-disk framing of the shipped checkpoint body.
-        format: CheckpointFormat,
-        /// The raw checkpoint body (text or binary per `format`).
+        /// The raw checkpoint body: a binary monitor snapshot.
         body: Vec<u8>,
     },
 }
@@ -254,14 +251,9 @@ impl FetchResponse {
                 }
                 out
             }
-            FetchResponse::Snapshot {
-                epoch,
-                lsn,
-                format,
-                body,
-            } => {
+            FetchResponse::Snapshot { epoch, lsn, body } => {
                 format!(
-                    "RSNAP {epoch} {lsn} {format} {} {}\n{}",
+                    "RSNAP {epoch} {lsn} {} {}\n{}",
                     body.len(),
                     crc32(body),
                     hex_encode(body)
@@ -324,12 +316,11 @@ impl FetchResponse {
                     records,
                 })
             }
-            Some(&"RSNAP") if fields.len() == 6 => {
+            Some(&"RSNAP") if fields.len() == 5 => {
                 let epoch = num(fields[1])?;
                 let lsn = num(fields[2])?;
-                let format: CheckpointFormat = fields[3].parse().map_err(WireError)?;
-                let len = num(fields[4])? as usize;
-                let crc = num(fields[5])? as u32;
+                let len = num(fields[3])? as usize;
+                let crc = num(fields[4])? as u32;
                 let body_hex = lines
                     .next()
                     .ok_or_else(|| WireError("RSNAP missing its body line".into()))?;
@@ -343,12 +334,7 @@ impl FetchResponse {
                 if crc32(&body) != crc {
                     return Err(WireError("RSNAP body failed its checksum".into()));
                 }
-                Ok(FetchResponse::Snapshot {
-                    epoch,
-                    lsn,
-                    format,
-                    body,
-                })
+                Ok(FetchResponse::Snapshot { epoch, lsn, body })
             }
             _ => Err(WireError(format!("bad replication response {header:?}"))),
         }
@@ -519,11 +505,10 @@ mod tests {
         assert!(FetchResponse::parse(absurd).is_err());
 
         // RSNAP with no body line, and with a short body.
-        assert!(FetchResponse::parse("RSNAP 1 5 text 11 123").is_err());
+        assert!(FetchResponse::parse("RSNAP 1 5 11 123").is_err());
         let snap = FetchResponse::Snapshot {
             epoch: 1,
             lsn: 7,
-            format: CheckpointFormat::Text,
             body: b"hello,world".to_vec(),
         }
         .to_wire();
@@ -561,10 +546,14 @@ mod tests {
         let resp = FetchResponse::Snapshot {
             epoch: 5,
             lsn: 100,
-            format: CheckpointFormat::Binary,
             body,
         };
         let wire = resp.to_wire();
+        // Exactly five header fields: a sixth is malformed.
+        let header = wire.lines().next().unwrap();
+        assert_eq!(header.split(' ').count(), 5, "{header}");
+        let six = wire.replacen("RSNAP 5 100 ", "RSNAP 5 100 binary ", 1);
+        assert!(FetchResponse::parse(&six).is_err());
         assert_eq!(
             FetchResponse::extra_lines(wire.lines().next().unwrap()).unwrap(),
             1
@@ -587,11 +576,12 @@ mod tests {
         let snap = FetchResponse::Snapshot {
             epoch: 1,
             lsn: 7,
-            format: CheckpointFormat::Text,
             body: b"hello,world".to_vec(),
         }
         .to_wire();
-        let corrupted = snap.replacen("68", "69", 1); // first body byte
+        let (header, body) = snap.split_once('\n').unwrap();
+        assert!(body.starts_with("68"), "{body}");
+        let corrupted = format!("{header}\n69{}", &body[2..]); // first body byte
         assert!(FetchResponse::parse(&corrupted).is_err());
     }
 

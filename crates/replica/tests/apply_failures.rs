@@ -110,8 +110,8 @@ fn rebuilt_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64>)
         );
     }
     assert_eq!(
-        replica.engine().monitor().snapshot(),
-        primary.engine().monitor().snapshot(),
+        replica.engine().monitor().snapshot_bytes(),
+        primary.engine().monitor().snapshot_bytes(),
         "the replica's state is the fold of the primary's log"
     );
     assert_eq!(

@@ -1,20 +1,7 @@
 //! Atomic, versioned, checksummed checkpoints of the monitor state.
 //!
-//! Two on-disk framings share the `checkpoint-<lsn>.ckpt` naming and
-//! are told apart by their leading bytes.
-//!
-//! **Text** (`v1`): a one-line header followed by the monitor snapshot
-//! body (the exact [`StabilityMonitor::snapshot`] text):
-//!
-//! ```text
-//! #checkpoint,v1,<lsn>,<body_len>,<body_crc32>
-//! #monitor,15461,m1,2,5
-//! c,1,3,4
-//! ...
-//! ```
-//!
-//! **Binary** (`ATTRCKP2`): a fixed little-endian header followed by
-//! the binary monitor snapshot
+//! A checkpoint is the `ATTRCKP2` framing — a fixed little-endian header
+//! — around the binary monitor snapshot
 //! ([`StabilityMonitor::snapshot_bytes`]):
 //!
 //! ```text
@@ -25,14 +12,11 @@
 //! [..]     body
 //! ```
 //!
-//! Either header carries the WAL sequence number the snapshot covers
-//! (all records with `seq ≤ lsn` are folded in), the body length in
-//! bytes, and a CRC-32 over the body — a reader can prove the file is
-//! complete and uncorrupted before trusting a single row of it.
-//! [`read_in`] accepts both framings; which one [`write_in`] /
-//! [`write_binary_in`] produces is the server's
-//! [`CheckpointFormat`] choice, and the two are fully interoperable
-//! (a server can restart from either regardless of its own setting).
+//! The header carries the WAL sequence number the snapshot covers (all
+//! records with `seq ≤ lsn` are folded in), the body length in bytes,
+//! and a CRC-32 over the body — a reader can prove the file is complete
+//! and uncorrupted before trusting a single byte of it. `attrition dump`
+//! renders a checkpoint's state as text for people.
 //!
 //! Writes are crash-atomic: the file is written to `<path>.tmp`,
 //! `sync_all`ed, then renamed over `<path>` (and the directory synced),
@@ -41,7 +25,6 @@
 //! `checkpoint-<lsn>.ckpt` inside the WAL directory and rotated;
 //! recovery walks them newest-first and falls back past corrupt ones.
 //!
-//! [`StabilityMonitor::snapshot`]: attrition_core::StabilityMonitor::snapshot
 //! [`StabilityMonitor::snapshot_bytes`]: attrition_core::StabilityMonitor::snapshot_bytes
 
 use crate::env::{RealStorage, Storage};
@@ -49,48 +32,22 @@ use attrition_store::{ByteReader, ByteWriter};
 use attrition_util::crc::crc32;
 use std::path::{Path, PathBuf};
 
-/// Text format version written into (and required in) the text header.
-pub const VERSION: &str = "v1";
-
-/// Binary checkpoint magic: "ATTRCKP" + format version 2 (the text
-/// format is version 1).
-pub const BINARY_MAGIC: [u8; 8] = *b"ATTRCKP2";
+/// Checkpoint magic: "ATTRCKP" + framing version 2.
+pub const MAGIC: [u8; 8] = *b"ATTRCKP2";
 
 /// File extension of checkpoint files.
 pub const EXTENSION: &str = "ckpt";
 
-/// Which on-disk framing (and snapshot encoding) a server writes its
-/// checkpoints in. Reading auto-detects; this only selects the writer.
+/// The encoding a server writes its checkpoints in. There is one: the
+/// enum and [`DurabilityConfig::checkpoint_format`] stay only so that
+/// code building a `DurabilityConfig` as a struct literal (the
+/// benchmark's `perfbench/src/trace.rs` does) keeps compiling.
+///
+/// [`DurabilityConfig::checkpoint_format`]: crate::engine::DurabilityConfig::checkpoint_format
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFormat {
-    /// CSV snapshot behind the `#checkpoint,v1` header. Grep-able and
-    /// diff-able; several times larger and slower to restore.
-    Text,
-    /// Binary snapshot behind the `ATTRCKP2` header. The default: at a
-    /// million customers the checkpoint is a fraction of the text size
-    /// and restores without any per-row parsing.
+    /// The binary snapshot behind the `ATTRCKP2` header.
     Binary,
-}
-
-impl std::fmt::Display for CheckpointFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CheckpointFormat::Text => "text",
-            CheckpointFormat::Binary => "binary",
-        })
-    }
-}
-
-impl std::str::FromStr for CheckpointFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CheckpointFormat, String> {
-        match s {
-            "text" => Ok(CheckpointFormat::Text),
-            "binary" => Ok(CheckpointFormat::Binary),
-            other => Err(format!("unknown checkpoint format {other:?} (text|binary)")),
-        }
-    }
 }
 
 /// A successfully read and verified checkpoint.
@@ -98,10 +55,8 @@ impl std::str::FromStr for CheckpointFormat {
 pub struct Checkpoint {
     /// The WAL LSN this snapshot covers (replay records above it only).
     pub lsn: u64,
-    /// The framing the file was written in.
-    pub format: CheckpointFormat,
-    /// The monitor snapshot (text or binary per `format`), ready for
-    /// `StabilityMonitor::restore_any`.
+    /// The binary monitor snapshot, ready for
+    /// `StabilityMonitor::restore_bytes`.
     pub body: Vec<u8>,
 }
 
@@ -131,7 +86,7 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// The staging name [`atomic_write`] uses: `<file>.tmp` next to `path`.
+/// The staging name [`atomic_write_in`] uses: `<file>.tmp` next to `path`.
 pub fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -151,11 +106,6 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// durable would lose acknowledged data if power failed. `Storage`
 /// implementations that genuinely cannot sync a directory report
 /// success instead (see [`RealStorage`]).
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    atomic_write_in(&*RealStorage::shared(), path, bytes)
-}
-
-/// [`atomic_write`] against an explicit [`Storage`].
 pub fn atomic_write_in(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = tmp_path(path);
     storage.write(&tmp, bytes)?;
@@ -173,34 +123,8 @@ pub fn path_for(dir: &Path, lsn: u64) -> PathBuf {
     dir.join(format!("checkpoint-{lsn:020}.{EXTENSION}"))
 }
 
-/// Atomically write a text checkpoint of `body` covering `lsn` into
-/// `dir`.
-pub fn write(dir: &Path, lsn: u64, body: &str) -> std::io::Result<PathBuf> {
-    write_in(&*RealStorage::shared(), dir, lsn, body)
-}
-
-/// [`write`] against an explicit [`Storage`].
-pub fn write_in(
-    storage: &dyn Storage,
-    dir: &Path,
-    lsn: u64,
-    body: &str,
-) -> std::io::Result<PathBuf> {
-    let path = path_for(dir, lsn);
-    let header = format!(
-        "#checkpoint,{VERSION},{lsn},{},{}\n",
-        body.len(),
-        crc32(body.as_bytes())
-    );
-    let mut bytes = Vec::with_capacity(header.len() + body.len());
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.extend_from_slice(body.as_bytes());
-    atomic_write_in(storage, &path, &bytes)?;
-    Ok(path)
-}
-
-/// Atomically write a binary checkpoint of `body` (a binary monitor
-/// snapshot) covering `lsn` into `dir`.
+/// Atomically write a checkpoint of `body` (a binary monitor snapshot)
+/// covering `lsn` into `dir`.
 pub fn write_binary(dir: &Path, lsn: u64, body: &[u8]) -> std::io::Result<PathBuf> {
     write_binary_in(&*RealStorage::shared(), dir, lsn, body)
 }
@@ -214,7 +138,7 @@ pub fn write_binary_in(
 ) -> std::io::Result<PathBuf> {
     let path = path_for(dir, lsn);
     let mut w = ByteWriter::with_capacity(28 + body.len());
-    w.bytes(&BINARY_MAGIC);
+    w.bytes(&MAGIC);
     w.u64(lsn);
     w.u64(body.len() as u64);
     w.u32(crc32(body));
@@ -223,7 +147,7 @@ pub fn write_binary_in(
     Ok(path)
 }
 
-/// Read and verify the checkpoint at `path` (either framing).
+/// Read and verify the checkpoint at `path`.
 pub fn read(path: &Path) -> Result<Checkpoint, CheckpointError> {
     read_in(&*RealStorage::shared(), path)
 }
@@ -231,64 +155,18 @@ pub fn read(path: &Path) -> Result<Checkpoint, CheckpointError> {
 /// [`read`] against an explicit [`Storage`].
 pub fn read_in(storage: &dyn Storage, path: &Path) -> Result<Checkpoint, CheckpointError> {
     let bytes = storage.read(path)?;
-    if bytes.starts_with(b"ATTRCKP") {
-        return read_binary(&bytes);
-    }
-    // Corruption can flip bytes out of UTF-8 entirely; that is a
-    // verification failure (skip this checkpoint), not an I/O error.
-    let text = String::from_utf8(bytes)
-        .map_err(|_| CheckpointError::Corrupt("body is not valid UTF-8".into()))?;
-    let text = text.as_str();
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| CheckpointError::Corrupt("no header line".into()))?;
-    let fields: Vec<&str> = header.split(',').collect();
-    if fields.len() != 5 || fields[0] != "#checkpoint" {
-        return Err(CheckpointError::Corrupt(format!(
-            "bad header {header:?} (expected 5 `#checkpoint` fields)"
-        )));
-    }
-    if fields[1] != VERSION {
-        return Err(CheckpointError::Corrupt(format!(
-            "unsupported version {:?} (expected {VERSION})",
-            fields[1]
-        )));
-    }
-    let lsn: u64 = fields[2]
-        .parse()
-        .map_err(|_| CheckpointError::Corrupt(format!("bad lsn {:?}", fields[2])))?;
-    let len: usize = fields[3]
-        .parse()
-        .map_err(|_| CheckpointError::Corrupt(format!("bad length {:?}", fields[3])))?;
-    let crc: u32 = fields[4]
-        .parse()
-        .map_err(|_| CheckpointError::Corrupt(format!("bad checksum {:?}", fields[4])))?;
-    if body.len() != len {
-        return Err(CheckpointError::Corrupt(format!(
-            "body is {} bytes, header promises {len} (truncated write?)",
-            body.len()
-        )));
-    }
-    if crc32(body.as_bytes()) != crc {
-        return Err(CheckpointError::Corrupt("body checksum mismatch".into()));
-    }
-    Ok(Checkpoint {
-        lsn,
-        format: CheckpointFormat::Text,
-        body: body.as_bytes().to_vec(),
-    })
-}
-
-/// Verify the `ATTRCKP2` framing. The caller established the
-/// `b"ATTRCKP"` prefix.
-fn read_binary(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let bad = |e: attrition_store::ByteError| CheckpointError::Corrupt(e.to_string());
-    let mut r = ByteReader::new(bytes);
+    let mut r = ByteReader::new(&bytes);
     let magic = r.take(8).map_err(bad)?;
-    if magic != BINARY_MAGIC {
+    if magic[..7] != MAGIC[..7] {
+        return Err(CheckpointError::Corrupt(
+            "not an ATTRCKP checkpoint (bad magic)".into(),
+        ));
+    }
+    if magic != MAGIC {
         return Err(CheckpointError::Corrupt(format!(
-            "unsupported binary checkpoint version {:?} (expected {:?})",
-            magic[7] as char, BINARY_MAGIC[7] as char
+            "unsupported checkpoint version {:?} (expected {:?})",
+            magic[7] as char, MAGIC[7] as char
         )));
     }
     let lsn = r.u64().map_err(bad)?;
@@ -306,7 +184,6 @@ fn read_binary(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
     }
     Ok(Checkpoint {
         lsn,
-        format: CheckpointFormat::Binary,
         body: body.to_vec(),
     })
 }
@@ -331,14 +208,7 @@ pub fn list(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 
 /// [`list`] against an explicit [`Storage`].
 pub fn list_in(storage: &dyn Storage, dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut found = Vec::new();
-    for name in storage.list(dir)? {
-        if let Some(lsn) = parse_name(&name, false) {
-            found.push((lsn, dir.join(name)));
-        }
-    }
-    found.sort_by_key(|&(lsn, _)| std::cmp::Reverse(lsn));
-    Ok(found)
+    list_named(storage, dir, false)
 }
 
 /// Leftover `checkpoint-*.ckpt.tmp` staging files in `dir`, newest
@@ -346,15 +216,18 @@ pub fn list_in(storage: &dyn Storage, dir: &Path) -> std::io::Result<Vec<(u64, P
 /// power-lost rename the directory never made durable) strands one of
 /// these; recovery salvages a fully verified tmp as a last-resort
 /// candidate after every final checkpoint has been tried.
-pub fn list_tmp(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    list_tmp_in(&*RealStorage::shared(), dir)
+pub fn list_tmp_in(storage: &dyn Storage, dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    list_named(storage, dir, true)
 }
 
-/// [`list_tmp`] against an explicit [`Storage`].
-pub fn list_tmp_in(storage: &dyn Storage, dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+fn list_named(
+    storage: &dyn Storage,
+    dir: &Path,
+    staging: bool,
+) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut found = Vec::new();
     for name in storage.list(dir)? {
-        if let Some(lsn) = parse_name(&name, true) {
+        if let Some(lsn) = parse_name(&name, staging) {
             found.push((lsn, dir.join(name)));
         }
     }
@@ -362,16 +235,11 @@ pub fn list_tmp_in(storage: &dyn Storage, dir: &Path) -> std::io::Result<Vec<(u6
     Ok(found)
 }
 
-/// Delete all but the newest `keep` checkpoints; returns how many were
-/// removed. Stale staging files (tmp LSN ≤ the newest final checkpoint)
-/// are swept too — they are fully superseded and never worth salvaging.
-/// Deletion failures are ignored (an undeleted old checkpoint is
-/// harmless — recovery prefers newer ones).
-pub fn prune(dir: &Path, keep: usize) -> std::io::Result<usize> {
-    prune_in(&*RealStorage::shared(), dir, keep)
-}
-
-/// [`prune`] against an explicit [`Storage`].
+/// Delete all but the newest `keep` checkpoints in `dir`; returns how
+/// many files were removed. Stale staging files (tmp LSN ≤ the newest
+/// final checkpoint) are swept too — they are fully superseded and
+/// never worth salvaging. Deletion failures are ignored (an undeleted
+/// old checkpoint is harmless — recovery prefers newer ones).
 pub fn prune_in(storage: &dyn Storage, dir: &Path, keep: usize) -> std::io::Result<usize> {
     let mut removed = 0;
     let finals = list_in(storage, dir)?;
@@ -403,20 +271,11 @@ mod tests {
         dir
     }
 
-    const BODY: &str = "#monitor,15461,m1,2,5\nc,1,3,4\ni,1,10,2\n";
-
-    #[test]
-    fn write_read_roundtrip() {
-        let dir = temp_dir("roundtrip");
-        let path = write(&dir, 42, BODY).unwrap();
-        let ckpt = read(&path).unwrap();
-        assert_eq!(ckpt.lsn, 42);
-        assert_eq!(ckpt.format, CheckpointFormat::Text);
-        assert_eq!(ckpt.body, BODY.as_bytes());
-        // No leftover temp file.
-        assert_eq!(list(&dir).unwrap().len(), 1);
-        let _ = fs::remove_dir_all(&dir);
+    fn real() -> std::sync::Arc<dyn Storage> {
+        RealStorage::shared()
     }
+
+    const BODY: &[u8] = b"ATTRMON1 stand-in body";
 
     #[test]
     fn binary_write_read_roundtrip() {
@@ -425,10 +284,10 @@ mod tests {
         let path = write_binary(&dir, 99, &body).unwrap();
         let ckpt = read(&path).unwrap();
         assert_eq!(ckpt.lsn, 99);
-        assert_eq!(ckpt.format, CheckpointFormat::Binary);
         assert_eq!(ckpt.body, body);
-        // Same naming as text checkpoints, so listing sees it.
+        // No leftover temp file; listing sees exactly the checkpoint.
         assert_eq!(list(&dir).unwrap(), vec![(99, path)]);
+        assert!(list_tmp_in(&*real(), &dir).unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -470,31 +329,24 @@ mod tests {
     }
 
     #[test]
-    fn format_parse_display_roundtrip() {
-        for format in [CheckpointFormat::Text, CheckpointFormat::Binary] {
-            assert_eq!(format.to_string().parse::<CheckpointFormat>(), Ok(format));
-        }
-        assert!("csv".parse::<CheckpointFormat>().is_err());
-    }
-
-    #[test]
     fn corruption_is_detected_not_loaded() {
+        // Files under a checkpoint name that are not ATTRCKP2 checkpoints
+        // at all — garbage, an empty file, a monitor's text rendering —
+        // fail verification (recovery skips them) instead of loading or
+        // erroring as I/O.
         let dir = temp_dir("corrupt");
-        let path = write(&dir, 7, BODY).unwrap();
-        let clean = fs::read(&path).unwrap();
-        // Flip one byte anywhere in the body → checksum mismatch.
-        for pos in [clean.len() - 1, clean.len() / 2] {
-            let mut bad = clean.clone();
-            bad[pos] ^= 0x20;
-            fs::write(&path, &bad).unwrap();
-            assert!(matches!(read(&path), Err(CheckpointError::Corrupt(_))));
+        let path = path_for(&dir, 7);
+        for bytes in [
+            &b"not a checkpoint\nat all\n"[..],
+            &b""[..],
+            &b"#monitor,15461,m1,2,5\nc,1,0,0\n"[..],
+        ] {
+            fs::write(&path, bytes).unwrap();
+            match read(&path) {
+                Err(CheckpointError::Corrupt(_)) => {}
+                other => panic!("{bytes:?} must be Corrupt, got {other:?}"),
+            }
         }
-        // Truncation → length mismatch.
-        fs::write(&path, &clean[..clean.len() - 3]).unwrap();
-        assert!(matches!(read(&path), Err(CheckpointError::Corrupt(_))));
-        // Garbage header.
-        fs::write(&path, b"not a checkpoint\nat all\n").unwrap();
-        assert!(matches!(read(&path), Err(CheckpointError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -502,14 +354,14 @@ mod tests {
     fn list_orders_newest_first_and_prune_keeps_n() {
         let dir = temp_dir("rotate");
         for lsn in [5u64, 900, 17] {
-            write(&dir, lsn, BODY).unwrap();
+            write_binary(&dir, lsn, BODY).unwrap();
         }
         // A stray non-checkpoint file is ignored.
         fs::write(dir.join("wal.log"), b"").unwrap();
         let listed = list(&dir).unwrap();
         let lsns: Vec<u64> = listed.iter().map(|(lsn, _)| *lsn).collect();
         assert_eq!(lsns, vec![900, 17, 5]);
-        assert_eq!(prune(&dir, 2).unwrap(), 1);
+        assert_eq!(prune_in(&*real(), &dir, 2).unwrap(), 1);
         let lsns: Vec<u64> = list(&dir).unwrap().iter().map(|(lsn, _)| *lsn).collect();
         assert_eq!(lsns, vec![900, 17]);
         let _ = fs::remove_dir_all(&dir);
@@ -518,18 +370,24 @@ mod tests {
     #[test]
     fn stranded_tmp_is_listed_and_pruned_when_superseded() {
         let dir = temp_dir("tmp");
-        write(&dir, 5, BODY).unwrap();
+        let storage = real();
+        write_binary(&dir, 5, BODY).unwrap();
         // Strand staging files as a crash between write and rename would.
         fs::write(dir.join("checkpoint-00000000000000000003.ckpt.tmp"), b"x").unwrap();
         fs::write(dir.join("checkpoint-00000000000000000009.ckpt.tmp"), b"y").unwrap();
-        let tmps: Vec<u64> = list_tmp(&dir).unwrap().iter().map(|t| t.0).collect();
-        assert_eq!(tmps, vec![9, 3]);
+        let tmps = |storage: &dyn Storage| -> Vec<u64> {
+            list_tmp_in(storage, &dir)
+                .unwrap()
+                .iter()
+                .map(|t| t.0)
+                .collect()
+        };
+        assert_eq!(tmps(&*storage), vec![9, 3]);
         // Tmps never appear in the final listing.
         assert_eq!(list(&dir).unwrap().len(), 1);
         // Prune sweeps the superseded tmp (3 ≤ 5) but keeps the newer one.
-        assert_eq!(prune(&dir, 4).unwrap(), 1);
-        let tmps: Vec<u64> = list_tmp(&dir).unwrap().iter().map(|t| t.0).collect();
-        assert_eq!(tmps, vec![9]);
+        assert_eq!(prune_in(&*storage, &dir, 4).unwrap(), 1);
+        assert_eq!(tmps(&*storage), vec![9]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -537,10 +395,11 @@ mod tests {
     fn atomic_write_replaces_content() {
         let dir = temp_dir("atomic");
         let path = dir.join("state.ckpt");
-        atomic_write(&path, b"first").unwrap();
+        atomic_write_in(&*real(), &path, b"first").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second, longer content").unwrap();
+        atomic_write_in(&*real(), &path, b"second, longer content").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second, longer content");
+        assert!(!tmp_path(&path).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

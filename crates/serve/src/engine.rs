@@ -58,7 +58,10 @@ pub struct DurabilityConfig {
     pub checkpoint_every: Option<Duration>,
     /// Checkpoints retained after rotation (older ones are pruned; ≥ 1).
     pub keep_checkpoints: usize,
-    /// On-disk framing of written checkpoints (recovery reads either).
+    /// Read by nothing: checkpoints have one encoding. The field stays
+    /// so that code building this config as a struct literal (the
+    /// benchmark's `perfbench/src/trace.rs` does) keeps compiling; see
+    /// [`CheckpointFormat`].
     pub checkpoint_format: CheckpointFormat,
     /// Fault-injection schedule for the WAL (tests only; `None` in
     /// production).
@@ -67,8 +70,7 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Defaults: fsync every append, checkpoint every 1024 logged
-    /// requests or 30 s (whichever comes first), keep 2 binary-format
-    /// checkpoints.
+    /// requests or 30 s (whichever comes first), keep 2 checkpoints.
     pub fn new(wal_dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             wal_dir: wal_dir.into(),
@@ -93,7 +95,6 @@ struct Durable {
     checkpoint_every_requests: u64,
     checkpoint_every: Option<Duration>,
     keep_checkpoints: usize,
-    checkpoint_format: CheckpointFormat,
     since_checkpoint: u64,
     last_checkpoint: Duration,
     checkpoints_written: u64,
@@ -138,17 +139,7 @@ impl Durable {
         // records under `interval`/`never` policies.
         self.wal.sync()?;
         let lsn = self.wal.last_seq();
-        match self.checkpoint_format {
-            CheckpointFormat::Text => {
-                checkpoint::write_in(&*self.storage, &self.dir, lsn, &monitor.snapshot())?
-            }
-            CheckpointFormat::Binary => checkpoint::write_binary_in(
-                &*self.storage,
-                &self.dir,
-                lsn,
-                &monitor.snapshot_bytes(),
-            )?,
-        };
+        checkpoint::write_binary_in(&*self.storage, &self.dir, lsn, &monitor.snapshot_bytes())?;
         let _ = checkpoint::prune_in(&*self.storage, &self.dir, self.keep_checkpoints);
         self.wal.truncate()?;
         self.since_checkpoint = 0;
@@ -338,7 +329,6 @@ impl Engine {
                     checkpoint_every_requests: dcfg.checkpoint_every_requests,
                     checkpoint_every: dcfg.checkpoint_every,
                     keep_checkpoints: dcfg.keep_checkpoints.max(1),
-                    checkpoint_format: dcfg.checkpoint_format,
                     since_checkpoint: 0,
                     last_checkpoint: clock.now(),
                     checkpoints_written: 0,
@@ -418,16 +408,17 @@ impl Engine {
         }
     }
 
-    /// Write the legacy single-file snapshot to the configured path,
-    /// atomically (tmp + fsync + rename). `Ok(None)` when no path is
-    /// set; errors are counted on `serve.snapshot.errors` and
-    /// propagated, never swallowed.
+    /// Write the legacy single-file snapshot — a point-in-time
+    /// [`ShardedMonitor::snapshot_bytes`] cut across all shards — to the
+    /// configured path, atomically (tmp + fsync + rename). `Ok(None)`
+    /// when no path is set; errors are counted on
+    /// `serve.snapshot.errors` and propagated, never swallowed.
     pub fn write_snapshot(&self) -> std::io::Result<Option<PathBuf>> {
         let Some(path) = &self.snapshot_path else {
             return Ok(None);
         };
         if let Err(e) =
-            checkpoint::atomic_write_in(&*self.storage, path, self.monitor.snapshot().as_bytes())
+            checkpoint::atomic_write_in(&*self.storage, path, &self.monitor.snapshot_bytes())
         {
             attrition_obs::counter("serve.snapshot.errors").inc();
             return Err(e);

@@ -5,9 +5,12 @@
 //!
 //! 1. **Checkpoint.** Walk `checkpoint-*.ckpt` newest-first; the first
 //!    one that passes its length+CRC header is restored. Corrupt or
-//!    torn checkpoints are *skipped*, not fatal — an older checkpoint
-//!    plus a longer replay reaches the same state, because the WAL is
-//!    only truncated after a checkpoint is durably renamed in.
+//!    torn checkpoints are *skipped*, not fatal — but an older
+//!    checkpoint plus the log reaches the same state only while the log
+//!    still holds every record above the older one. Every checkpoint
+//!    empties the WAL once its rename is durable, so the records
+//!    between an older checkpoint and a skipped newer one usually exist
+//!    in the skipped file alone.
 //! 2. **Replay.** Walk `wal.log`'s frames in place and re-apply every
 //!    record with `seq > checkpoint LSN` in log order. Records at or
 //!    below the LSN are already folded into the checkpoint and are
@@ -15,7 +18,15 @@
 //!    crash between checkpoint rename and WAL truncation double-writes
 //!    nothing. Each op parses into one reused item arena and applies
 //!    through `ingest_sorted`: nothing is allocated per record.
-//! 3. **Where the log ends.** Zeros after the last valid frame are the
+//! 3. **No silent gaps.** Records above the restored LSN must continue
+//!    it without a hole, and no skipped checkpoint may cover an LSN
+//!    beyond where replay ends. Otherwise acknowledged records exist
+//!    nowhere, and recovery fails with [`RecoveryError::MissingRecords`]
+//!    instead of serving a state without them and handing their
+//!    sequence numbers to new writes (which a replica may already hold
+//!    as the old ones). Stranded `.tmp` files do not count: the WAL is
+//!    emptied only after a checkpoint's rename is durable.
+//! 4. **Where the log ends.** Zeros after the last valid frame are the
 //!    log's preallocated extent, a clean end. Anything else there — a
 //!    partial or corrupt frame, the write the crash interrupted — is
 //!    detected by the CRC framing, truncated off the file, and reported.
@@ -133,6 +144,17 @@ pub enum RecoveryError {
         /// The parse failure.
         reason: String,
     },
+    /// Records `first..=last` are in neither a readable checkpoint nor
+    /// the log: the log does not continue the restored state, or an
+    /// unreadable checkpoint covered records replay cannot reach.
+    MissingRecords {
+        /// LSN of the restored checkpoint (0: none was restored).
+        restored: u64,
+        /// The first missing sequence number.
+        first: u64,
+        /// The last missing sequence number.
+        last: u64,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -147,6 +169,15 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::BadRecord { seq, reason } => {
                 write!(f, "wal record {seq} is valid but unparseable: {reason}")
             }
+            RecoveryError::MissingRecords {
+                restored,
+                first,
+                last,
+            } => write!(
+                f,
+                "wal records {first}..={last} are in no readable checkpoint and not in the \
+                 log (restored checkpoint lsn {restored}); refusing to continue without them"
+            ),
         }
     }
 }
@@ -180,7 +211,7 @@ fn try_restore(
     corrupt_checkpoints: &mut u64,
 ) -> Result<Option<(u64, StabilityMonitor)>, RecoveryError> {
     match checkpoint::read_in(storage, path) {
-        Ok(ckpt) => match StabilityMonitor::restore_any(&ckpt.body) {
+        Ok(ckpt) => match StabilityMonitor::restore_bytes(&ckpt.body) {
             Ok(monitor) => return Ok(Some((ckpt.lsn, monitor))),
             Err(e) => {
                 // Header passed but the body does not restore: treat
@@ -217,11 +248,15 @@ pub fn recover_in(
     let mut corrupt_checkpoints = 0u64;
     let mut salvaged_tmp = false;
     let mut restored: Option<(u64, StabilityMonitor)> = None;
+    // The highest LSN a skipped final checkpoint covered: replay must
+    // reach it, or its records are lost.
+    let mut newest_skipped: Option<u64> = None;
     for (lsn, path) in checkpoint::list_in(storage, dir)? {
         if let Some(found) = try_restore(storage, lsn, &path, &mut corrupt_checkpoints)? {
             restored = Some(found);
             break;
         }
+        newest_skipped.get_or_insert(lsn);
     }
     if restored.is_none() {
         // Last resort: a stranded `*.ckpt.tmp` staging file. A crash
@@ -275,11 +310,19 @@ pub fn recover_in(
     let mut items: Vec<ItemId> = Vec::new();
     let mut frames = Frames::new(&bytes);
     for (seq, op) in frames.by_ref() {
-        stats.next_seq = stats.next_seq.max(seq + 1);
         if seq <= floor {
             stats.already_applied += 1;
             continue;
         }
+        // `next_seq` is `floor + 1` until the first record above it.
+        if seq > stats.next_seq {
+            return Err(RecoveryError::MissingRecords {
+                restored: floor,
+                first: stats.next_seq,
+                last: seq - 1,
+            });
+        }
+        stats.next_seq = stats.next_seq.max(seq + 1);
         items.clear();
         let request =
             Request::parse_into(op, &mut items).map_err(|e| RecoveryError::BadRecord {
@@ -311,6 +354,13 @@ pub fn recover_in(
                 })
             }
         }
+    }
+    if let Some(skipped) = newest_skipped.filter(|&lsn| lsn >= stats.next_seq) {
+        return Err(RecoveryError::MissingRecords {
+            restored: floor,
+            first: stats.next_seq,
+            last: skipped,
+        });
     }
     stats.wal_end = frames.end();
     stats.torn_bytes = frames.torn_bytes();
@@ -398,7 +448,7 @@ mod tests {
             };
             reference.ingest(c, d, &Basket::new(items));
         }
-        checkpoint::write(&dir, 2, &reference.snapshot()).unwrap();
+        checkpoint::write_binary(&dir, 2, &reference.snapshot_bytes()).unwrap();
         {
             let Request::Ingest(c, d, items) = Request::parse(ops[2]).unwrap() else {
                 unreachable!()
@@ -419,34 +469,93 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn corrupt_newest_checkpoint_falls_back_to_older() {
-        let dir = temp_dir("fallback");
+    /// A WAL directory for `ops` as records 1..=n: a checkpoint after
+    /// each op whose LSN is in `checkpoints`, the newest one corrupted,
+    /// and a log holding records `log_from..=n` (empty when `log_from`
+    /// is n + 1). Returns the state after every op.
+    fn corrupt_newest(
+        tag: &str,
+        ops: &[&str],
+        checkpoints: &[u64],
+        log_from: u64,
+    ) -> (PathBuf, StabilityMonitor) {
+        let dir = temp_dir(tag);
         let fb = fallback();
         let mut monitor = StabilityMonitor::new(fb.spec, fb.params).with_max_explanations(5);
-        monitor.ingest(
-            CustomerId::new(3),
-            Date::from_ymd(2012, 5, 2).unwrap(),
-            &Basket::from_raw(&[1]),
-        );
-        let old_snapshot = monitor.snapshot();
-        checkpoint::write(&dir, 1, &old_snapshot).unwrap();
-        // Newer checkpoint, then corrupt it on disk.
-        monitor.ingest(
-            CustomerId::new(4),
-            Date::from_ymd(2012, 5, 3).unwrap(),
-            &Basket::from_raw(&[2]),
-        );
-        let newer = checkpoint::write(&dir, 2, &monitor.snapshot()).unwrap();
-        let mut bytes = std::fs::read(&newer).unwrap();
+        let mut wal = Wal::open(&dir.join(WAL_FILE), SyncPolicy::Never, log_from).unwrap();
+        let mut newest = None;
+        for (seq, op) in (1u64..).zip(ops) {
+            let Request::Ingest(c, d, items) = Request::parse(op).unwrap() else {
+                unreachable!()
+            };
+            monitor.ingest(c, d, &Basket::new(items));
+            if seq >= log_from {
+                assert_eq!(wal.append(op).unwrap(), seq);
+            }
+            if checkpoints.contains(&seq) {
+                newest =
+                    Some(checkpoint::write_binary(&dir, seq, &monitor.snapshot_bytes()).unwrap());
+            }
+        }
+        drop(wal);
+        let newest = newest.expect("at least one checkpoint");
+        let mut bytes = std::fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        std::fs::write(&newer, &bytes).unwrap();
+        std::fs::write(&newest, &bytes).unwrap();
+        (dir, monitor)
+    }
 
+    const OPS: [&str; 3] = [
+        "INGEST 3 2012-05-02 1",
+        "INGEST 4 2012-05-03 2",
+        "INGEST 5 2012-05-04 3",
+    ];
+
+    #[test]
+    fn corrupt_newest_checkpoint_falls_back_to_older() {
+        // The crash hit after checkpoint 2's rename and before the WAL
+        // truncation: the log still holds record 2, so falling back to
+        // checkpoint 1 and replaying reaches the same state.
+        let (dir, reference) = corrupt_newest("fallback", &OPS[..2], &[1, 2], 1);
         let (recovered, stats) = recover(&dir, None).unwrap();
         assert_eq!(stats.checkpoint_lsn, Some(1));
         assert_eq!(stats.corrupt_checkpoints, 1);
-        assert_eq!(recovered.snapshot(), old_snapshot);
+        assert_eq!((stats.already_applied, stats.replayed), (1, 1));
+        assert_eq!(stats.next_seq, 3);
+        assert_eq!(recovered.snapshot(), reference.snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_resuming_past_the_restored_checkpoint_is_missing_records() {
+        // Checkpoint 2 emptied the log, which then took record 3; with
+        // checkpoint 2 unreadable, record 2 exists nowhere.
+        let (dir, _) = corrupt_newest("gap", &OPS, &[1, 2], 3);
+        match recover(&dir, None) {
+            Err(RecoveryError::MissingRecords {
+                restored: 1,
+                first: 2,
+                last: 2,
+            }) => {}
+            other => panic!("expected records 2..=2 missing, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn skipped_checkpoint_beyond_the_log_is_missing_records() {
+        // Checkpoint 3 emptied the log; with it unreadable, records 2
+        // and 3 exist nowhere, though the log itself has no hole.
+        let (dir, _) = corrupt_newest("beyond", &OPS, &[1, 3], 4);
+        match recover(&dir, None) {
+            Err(RecoveryError::MissingRecords {
+                restored: 1,
+                first: 2,
+                last: 3,
+            }) => {}
+            other => panic!("expected records 2..=3 missing, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 //! independent by construction; asserted by the 1-vs-8-shard test).
 
 use attrition_core::incremental::WindowClosed;
-use attrition_core::{RestoreError, StabilityMonitor, StabilityParams, StabilityPoint};
+use attrition_core::{StabilityMonitor, StabilityParams, StabilityPoint};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date};
 use std::sync::{Mutex, MutexGuard};
@@ -140,58 +140,12 @@ impl ShardedMonitor {
             .collect()
     }
 
-    /// One checkpoint for the whole sharded state, in the single-monitor
-    /// [`StabilityMonitor::snapshot`] format: the shared header, then
-    /// every customer's block in ascending customer order — byte-for-byte
-    /// what one monitor holding all customers would write. Shards are
-    /// locked one at a time (the checkpoint is per-customer consistent,
-    /// not a global point-in-time cut; take it after a drain for that).
-    pub fn snapshot(&self) -> String {
-        let mut header: Option<String> = None;
-        let mut blocks: Vec<(u64, String)> = Vec::new();
-        for shard in &self.shards {
-            let doc = lock(shard).snapshot();
-            let mut lines = doc.lines();
-            let shard_header = lines.next().unwrap_or_default().to_owned();
-            let header = header.get_or_insert(shard_header.clone());
-            debug_assert_eq!(*header, shard_header, "shards disagree on the grid");
-            let mut current: Option<(u64, String)> = None;
-            for line in lines {
-                if line.starts_with("c,") {
-                    if let Some(done) = current.take() {
-                        blocks.push(done);
-                    }
-                    let id = line
-                        .split(',')
-                        .nth(1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("snapshot customer rows carry the id");
-                    current = Some((id, String::new()));
-                }
-                let (_, block) = current
-                    .as_mut()
-                    .expect("snapshot body rows follow a customer row");
-                block.push_str(line);
-                block.push('\n');
-            }
-            blocks.extend(current.take());
-        }
-        blocks.sort_by_key(|&(id, _)| id);
-        let mut out = header.unwrap_or_default();
-        out.push('\n');
-        for (_, block) in blocks {
-            out.push_str(&block);
-        }
-        out
-    }
-
-    /// One *binary* checkpoint for the whole sharded state, in the
-    /// single-monitor [`StabilityMonitor::snapshot_bytes`] format —
-    /// byte-for-byte what one monitor holding all customers would
-    /// write. Unlike the text [`snapshot`](ShardedMonitor::snapshot),
-    /// all shards are locked simultaneously (in index order, so
-    /// concurrent callers cannot deadlock), making the cut a global
-    /// point in time; customer blocks merge across shards without
+    /// One snapshot of the whole sharded state, in the single-monitor
+    /// [`StabilityMonitor::snapshot_bytes`] format — byte-for-byte what
+    /// one monitor holding all customers would write, so it restores at
+    /// any shard count. All shards are locked simultaneously (in index
+    /// order, so concurrent callers cannot deadlock), making the cut a
+    /// global point in time; customer blocks merge across shards without
     /// re-encoding because they are self-delimiting and sorted.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let guards: Vec<MutexGuard<'_, StabilityMonitor>> = self.shards.iter().map(lock).collect();
@@ -199,36 +153,16 @@ impl ShardedMonitor {
     }
 
     /// Fan one monitor's customers out across `n_shards` shards using
-    /// the standard routing; the inverse of what [`snapshot`] merges.
-    ///
-    /// [`snapshot`]: ShardedMonitor::snapshot
+    /// the standard routing; the inverse of what
+    /// [`snapshot_bytes`](ShardedMonitor::snapshot_bytes) merges. The
+    /// shard count is free to differ from the one that wrote a restored
+    /// snapshot — routing is recomputed per customer.
     pub fn from_monitor(monitor: StabilityMonitor, n_shards: usize) -> ShardedMonitor {
         assert!(n_shards > 0, "need at least one shard");
         let parts = monitor.partition(n_shards, |customer| shard_of(customer, n_shards));
         ShardedMonitor {
             shards: parts.into_iter().map(Mutex::new).collect(),
         }
-    }
-
-    /// Restore a checkpoint (single-monitor format, e.g. written by
-    /// [`ShardedMonitor::snapshot`]) across `n_shards` shards. The shard
-    /// count is free to differ from the writing server's — routing is
-    /// recomputed per customer.
-    pub fn restore(text: &str, n_shards: usize) -> Result<ShardedMonitor, RestoreError> {
-        Ok(ShardedMonitor::from_monitor(
-            StabilityMonitor::restore(text)?,
-            n_shards,
-        ))
-    }
-
-    /// [`restore`](ShardedMonitor::restore) from either snapshot
-    /// format, detected by leading bytes (see
-    /// [`StabilityMonitor::restore_any`]).
-    pub fn restore_any(bytes: &[u8], n_shards: usize) -> Result<ShardedMonitor, RestoreError> {
-        Ok(ShardedMonitor::from_monitor(
-            StabilityMonitor::restore_any(bytes)?,
-            n_shards,
-        ))
     }
 }
 
@@ -337,14 +271,17 @@ mod tests {
             s.ingest(CustomerId::new(raw), d(2012, 5, 2), &Basket::from_raw(&[1]))
                 .unwrap();
         }
-        let snap = s.snapshot();
-        let customer_rows: Vec<&str> = snap.lines().filter(|l| l.starts_with("c,")).collect();
-        assert_eq!(customer_rows.len(), 4);
-        let ids: Vec<u64> = customer_rows
-            .iter()
-            .map(|r| r.split(',').nth(1).unwrap().parse().unwrap())
-            .collect();
+        let merged = StabilityMonitor::restore_bytes(&s.snapshot_bytes()).unwrap();
+        let ids: Vec<u64> = merged.customer_ids().iter().map(|c| c.raw()).collect();
         assert_eq!(ids, vec![1, 3, 9, 17]);
+        // Byte-for-byte what one monitor holding every customer writes.
+        let single = sharded(1);
+        for raw in [9u64, 3, 17, 1] {
+            single
+                .ingest(CustomerId::new(raw), d(2012, 5, 2), &Basket::from_raw(&[1]))
+                .unwrap();
+        }
+        assert_eq!(s.snapshot_bytes(), single.snapshot_bytes());
     }
 
     #[test]
@@ -360,9 +297,10 @@ mod tests {
             s.ingest(CustomerId::new(raw), d(2012, 6, 2), &Basket::from_raw(&[1]))
                 .unwrap();
         }
-        let snap = s.snapshot();
+        let snap = s.snapshot_bytes();
         for n in [1usize, 3, 8] {
-            let restored = ShardedMonitor::restore(&snap, n).unwrap();
+            let restored =
+                ShardedMonitor::from_monitor(StabilityMonitor::restore_bytes(&snap).unwrap(), n);
             assert_eq!(restored.num_customers(), 20);
             for raw in 0..20u64 {
                 let c = CustomerId::new(raw);
@@ -371,8 +309,8 @@ mod tests {
                 assert_eq!(a.window, b.window);
                 assert_eq!(a.value.to_bits(), b.value.to_bits());
             }
-            // The restored state writes the identical checkpoint.
-            assert_eq!(restored.snapshot(), snap);
+            // The restored state writes the identical snapshot.
+            assert_eq!(restored.snapshot_bytes(), snap);
         }
     }
 

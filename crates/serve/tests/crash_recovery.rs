@@ -368,7 +368,8 @@ fn stranded_tmp_checkpoint_with_empty_wal_recovers() {
 
     // A first-boot shutdown checkpoint of an empty server, stranded
     // under its staging name, next to a 0-byte log.
-    let final_path = checkpoint::write(&dir, 0, &empty.snapshot()).expect("checkpoint written");
+    let final_path =
+        checkpoint::write_binary(&dir, 0, &empty.snapshot_bytes()).expect("checkpoint written");
     let tmp_path = checkpoint::tmp_path(&final_path);
     std::fs::rename(&final_path, &tmp_path).unwrap();
     std::fs::write(dir.join("wal.log"), b"").unwrap();
@@ -401,7 +402,7 @@ fn stranded_tmp_is_ignored_when_a_final_checkpoint_exists() {
         Date::from_ymd(2012, 5, 2).unwrap(),
         &Basket::from_raw(&[1]),
     );
-    checkpoint::write(&dir, 1, &monitor.snapshot()).expect("final checkpoint");
+    checkpoint::write_binary(&dir, 1, &monitor.snapshot_bytes()).expect("final checkpoint");
     let final_snapshot = monitor.snapshot();
 
     // A newer, *different* state stranded under a staging name.
@@ -410,7 +411,8 @@ fn stranded_tmp_is_ignored_when_a_final_checkpoint_exists() {
         Date::from_ymd(2012, 5, 3).unwrap(),
         &Basket::from_raw(&[2]),
     );
-    let newer = checkpoint::write(&dir, 2, &monitor.snapshot()).expect("newer checkpoint");
+    let newer =
+        checkpoint::write_binary(&dir, 2, &monitor.snapshot_bytes()).expect("newer checkpoint");
     std::fs::rename(&newer, checkpoint::tmp_path(&newer)).unwrap();
     std::fs::write(dir.join("wal.log"), b"").unwrap();
 
@@ -436,7 +438,7 @@ fn server_resumes_from_a_tmp_only_directory() {
         Date::from_ymd(2012, 5, 2).unwrap(),
         &Basket::from_raw(&[1, 2]),
     );
-    let path = checkpoint::write(&dir, 3, &monitor.snapshot()).expect("checkpoint");
+    let path = checkpoint::write_binary(&dir, 3, &monitor.snapshot_bytes()).expect("checkpoint");
     std::fs::rename(&path, checkpoint::tmp_path(&path)).unwrap();
     std::fs::write(dir.join("wal.log"), b"").unwrap();
 
@@ -459,64 +461,19 @@ fn server_resumes_from_a_tmp_only_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Both checkpoint formats, end to end: two servers fed the identical
-/// stream — one checkpointing in text, one in binary — recover to
-/// bit-identical state, and every `SCORE` protocol line matches.
-#[test]
-fn text_and_binary_checkpoints_recover_identically() {
-    use attrition_serve::protocol::format_score;
-    use attrition_serve::CheckpointFormat;
-
-    let (cfg, seg_store) = scenario(6, 6, 6);
-    let spec = WindowSpec::months(cfg.start, 1);
-
-    let run = |format: CheckpointFormat, tag: &str| {
-        let dir = temp_dir(tag);
-        let mut config = durable_config(spec, &dir, FaultPlan::none());
-        let dcfg = config.durability.as_mut().unwrap();
-        dcfg.checkpoint_format = format;
-        // Checkpoint aggressively so recovery actually reads the format
-        // under test instead of replaying the whole WAL.
-        dcfg.checkpoint_every_requests = 16;
-        let handle = server::start(config).expect("server starts");
-        let mut client = Client::connect(handle.local_addr(), TIMEOUT).expect("connects");
-        for receipt in chronological(&seg_store) {
-            let items: Vec<u32> = receipt.items.iter().map(|i| i.raw()).collect();
-            match client.ingest(receipt.customer.raw(), receipt.date, &items) {
-                Ok(Reply::Closed(_)) => {}
-                other => panic!("unexpected ingest reply: {other:?}"),
-            }
-        }
-        client.send("SHUTDOWN").expect("shutdown rpc");
-        let summary = handle.join();
-        assert!(summary.checkpoint_error.is_none(), "clean shutdown");
-        assert!(summary.checkpoints >= 1);
-        let (recovered, stats) = recover(&dir, None).expect("recovery succeeds");
-        assert_eq!(stats.replayed, 0, "clean shutdown truncates the WAL");
-        let _ = std::fs::remove_dir_all(&dir);
-        recovered
-    };
-
-    let from_text = run(CheckpointFormat::Text, "fmt_text");
-    let from_binary = run(CheckpointFormat::Binary, "fmt_binary");
-    assert_eq!(
-        from_text.snapshot(),
-        from_binary.snapshot(),
-        "the two formats must restore the same state"
-    );
-    for customer in from_text.customer_ids() {
-        let a = from_text.preview(customer).expect("tracked");
-        let b = from_binary.preview(customer).expect("tracked");
-        assert_eq!(
-            format_score(customer, &a),
-            format_score(customer, &b),
-            "SCORE lines must be bit-identical across formats"
-        );
+/// `ops` appended to `dir`'s WAL as records `first..`.
+fn log_records(dir: &Path, first: u64, ops: &[&str]) {
+    use attrition_serve::wal::{Wal, WAL_FILE};
+    let mut wal = Wal::open(&dir.join(WAL_FILE), SyncPolicy::Always, first).expect("open wal");
+    for op in ops {
+        wal.append(op).expect("append");
     }
 }
 
-/// Recovery must fall back past a corrupt *binary* checkpoint to an
-/// older valid one — same contract the text format already has.
+/// Recovery must fall back past a corrupt checkpoint to an older valid
+/// one while the log still holds the records in between (the crash hit
+/// after the newer checkpoint's rename, before the WAL truncation), and
+/// replay them.
 #[test]
 fn corrupt_binary_checkpoint_falls_back_to_older() {
     use attrition_serve::checkpoint;
@@ -530,7 +487,6 @@ fn corrupt_binary_checkpoint_falls_back_to_older() {
         Date::from_ymd(2012, 5, 2).unwrap(),
         &Basket::from_raw(&[1, 4]),
     );
-    let older_snapshot = monitor.snapshot();
     checkpoint::write_binary(&dir, 1, &monitor.snapshot_bytes()).expect("older checkpoint");
 
     monitor.ingest(
@@ -544,67 +500,23 @@ fn corrupt_binary_checkpoint_falls_back_to_older() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&newer, &bytes).unwrap();
-    std::fs::write(dir.join("wal.log"), b"").unwrap();
+    log_records(
+        &dir,
+        1,
+        &["INGEST 1 2012-05-02 1 4", "INGEST 2 2012-05-03 2"],
+    );
 
     let (recovered, stats) = recover(&dir, None).expect("fallback succeeds");
     assert_eq!(stats.corrupt_checkpoints, 1, "{stats:?}");
     assert_eq!(stats.checkpoint_lsn, Some(1));
-    assert_eq!(recovered.snapshot(), older_snapshot);
+    assert_eq!((stats.already_applied, stats.replayed), (1, 1), "{stats:?}");
+    assert_eq!(recovered.snapshot(), monitor.snapshot());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Fallback crosses formats: a corrupt binary checkpoint falls back to
-/// an older *text* one, and vice versa — the walk is format-blind.
-#[test]
-fn fallback_crosses_checkpoint_formats() {
-    use attrition_serve::checkpoint;
-
-    let spec = WindowSpec::months(Date::from_ymd(2012, 5, 1).unwrap(), 1);
-    let mut monitor = StabilityMonitor::new(spec, StabilityParams::PAPER).with_max_explanations(5);
-    monitor.ingest(
-        CustomerId::new(9),
-        Date::from_ymd(2012, 5, 2).unwrap(),
-        &Basket::from_raw(&[3, 5]),
-    );
-    let good_text = monitor.snapshot();
-    let good_bytes = monitor.snapshot_bytes();
-    monitor.ingest(
-        CustomerId::new(10),
-        Date::from_ymd(2012, 5, 4).unwrap(),
-        &Basket::from_raw(&[6]),
-    );
-
-    // Case A: corrupt binary on top, valid text underneath.
-    let dir = temp_dir("crossfmt_a");
-    std::fs::create_dir_all(&dir).unwrap();
-    checkpoint::write(&dir, 1, &good_text).expect("text checkpoint");
-    let newer = checkpoint::write_binary(&dir, 2, &monitor.snapshot_bytes()).expect("binary");
-    let mut bytes = std::fs::read(&newer).unwrap();
-    bytes.truncate(bytes.len() / 2);
-    std::fs::write(&newer, &bytes).unwrap();
-    std::fs::write(dir.join("wal.log"), b"").unwrap();
-    let (recovered, stats) = recover(&dir, None).expect("falls back to text");
-    assert_eq!(stats.checkpoint_lsn, Some(1), "{stats:?}");
-    assert_eq!(recovered.snapshot(), good_text);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Case B: corrupt text on top, valid binary underneath.
-    let dir = temp_dir("crossfmt_b");
-    std::fs::create_dir_all(&dir).unwrap();
-    checkpoint::write_binary(&dir, 1, &good_bytes).expect("binary checkpoint");
-    let newer = checkpoint::write(&dir, 2, &monitor.snapshot()).expect("text");
-    let mut text = std::fs::read(&newer).unwrap();
-    text.truncate(text.len() - 4);
-    std::fs::write(&newer, &text).unwrap();
-    std::fs::write(dir.join("wal.log"), b"").unwrap();
-    let (recovered, stats) = recover(&dir, None).expect("falls back to binary");
-    assert_eq!(stats.checkpoint_lsn, Some(1), "{stats:?}");
-    assert_eq!(recovered.snapshot(), good_text);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A binary checkpoint from a future format version is a corrupt
-/// checkpoint (skipped with fallback), not a panic and not a load.
+/// A checkpoint from a future format version is a corrupt checkpoint
+/// (skipped with fallback, the log replaying what it covered), not a
+/// panic and not a load.
 #[test]
 fn future_version_binary_checkpoint_is_skipped() {
     use attrition_serve::checkpoint;
@@ -619,17 +531,66 @@ fn future_version_binary_checkpoint_is_skipped() {
         &Basket::from_raw(&[8]),
     );
     checkpoint::write_binary(&dir, 1, &monitor.snapshot_bytes()).expect("older checkpoint");
-    let older_snapshot = monitor.snapshot();
 
+    monitor.ingest(
+        CustomerId::new(4),
+        Date::from_ymd(2012, 5, 3).unwrap(),
+        &Basket::from_raw(&[9]),
+    );
     let newer = checkpoint::write_binary(&dir, 2, &monitor.snapshot_bytes()).expect("newer");
     let mut bytes = std::fs::read(&newer).unwrap();
     bytes[7] = b'9'; // ATTRCKP9: framing from the future
     std::fs::write(&newer, &bytes).unwrap();
-    std::fs::write(dir.join("wal.log"), b"").unwrap();
+    log_records(&dir, 2, &["INGEST 4 2012-05-03 9"]);
 
     let (recovered, stats) = recover(&dir, None).expect("version skip succeeds");
     assert_eq!(stats.corrupt_checkpoints, 1, "{stats:?}");
     assert_eq!(stats.checkpoint_lsn, Some(1));
-    assert_eq!(recovered.snapshot(), older_snapshot);
+    assert_eq!(stats.replayed, 1, "{stats:?}");
+    assert_eq!(recovered.snapshot(), monitor.snapshot());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every checkpoint empties the WAL, so records acknowledged since the
+/// previous checkpoint can live in the newest checkpoint alone. When
+/// that checkpoint is unreadable, recovery must refuse to continue from
+/// the older one: serving it would drop acknowledged writes and reuse
+/// their sequence numbers.
+#[test]
+fn acked_records_only_in_a_corrupt_checkpoint_fail_recovery() {
+    use attrition_serve::checkpoint;
+    use attrition_serve::recovery::RecoveryError;
+    use attrition_serve::Engine;
+
+    let dir = temp_dir("ackedgap");
+    let spec = WindowSpec::months(Date::from_ymd(2012, 5, 1).unwrap(), 1);
+    let mut dcfg = DurabilityConfig::new(dir.clone());
+    dcfg.checkpoint_every_requests = 1;
+    let engine = Engine::open(
+        ShardedMonitor::new(4, spec, StabilityParams::PAPER, 5),
+        None,
+        Some(&dcfg),
+        1,
+    )
+    .expect("engine opens");
+    for customer in 1..=3 {
+        let (_, reply) = engine.respond(&format!("INGEST {customer} 2012-05-02 1"));
+        assert_eq!(reply, "OK 0", "customer {customer}");
+    }
+    drop(engine);
+    let newest = checkpoint::path_for(&dir, 3);
+    let mut bytes = std::fs::read(&newest).expect("checkpoint 3 exists");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&newest, &bytes).unwrap();
+
+    match recover(&dir, None) {
+        Err(RecoveryError::MissingRecords {
+            restored: 2,
+            first: 3,
+            last: 3,
+        }) => {}
+        other => panic!("expected record 3 missing, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -174,7 +174,7 @@ fn shutdown_drains_and_written_snapshot_restores_equivalently() {
     let (cfg, seg_store) = scenario(10, 10, 8);
     let spec = WindowSpec::months(cfg.start, 2);
     let snapshot_path = std::env::temp_dir().join(format!(
-        "attrition_serve_snapshot_{}.csv",
+        "attrition_serve_snapshot_{}.bin",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&snapshot_path);
@@ -209,11 +209,17 @@ fn shutdown_drains_and_written_snapshot_restores_equivalently() {
     );
     assert_eq!(summary.customers, 20);
 
-    // The checkpoint restores to an equivalent monitor: same customers,
+    // The snapshot restores to an equivalent monitor: same customers,
     // bit-identical previews and futures, at any shard count.
-    let text = std::fs::read_to_string(&snapshot_path).expect("snapshot written");
+    let bytes = std::fs::read(&snapshot_path).expect("snapshot written");
+    let restore = |n_shards| {
+        ShardedMonitor::from_monitor(
+            StabilityMonitor::restore_bytes(&bytes).expect("snapshot restores"),
+            n_shards,
+        )
+    };
     for n_shards in [1usize, 8] {
-        let restored = ShardedMonitor::restore(&text, n_shards).expect("snapshot restores");
+        let restored = restore(n_shards);
         assert_eq!(restored.num_customers(), offline.num_customers());
         for customer in offline.customer_ids() {
             let a = offline.preview(customer).expect("tracked offline");
@@ -225,7 +231,7 @@ fn shutdown_drains_and_written_snapshot_restores_equivalently() {
         let end = cfg.start.add_months(cfg.n_months as i32 + 2);
         let restored_closed = restored.flush_until(end);
         let mut offline_restored =
-            StabilityMonitor::restore(&text).expect("single monitor restores");
+            StabilityMonitor::restore_bytes(&bytes).expect("single monitor restores");
         let offline_closed = offline_restored.flush_until(end);
         assert_eq!(restored_closed.len(), offline_closed.len());
         for (x, y) in restored_closed.iter().zip(&offline_closed) {
@@ -235,9 +241,8 @@ fn shutdown_drains_and_written_snapshot_restores_equivalently() {
         }
     }
 
-    // A new server can resume from the checkpoint.
-    let restored = ShardedMonitor::restore(&text, 4).expect("snapshot restores");
-    let handle = server::start_with(config(spec), restored).expect("restored server starts");
+    // A new server can resume from the snapshot.
+    let handle = server::start_with(config(spec), restore(4)).expect("restored server starts");
     let mut client = Client::connect(handle.local_addr(), TIMEOUT).expect("connects");
     let probe = offline.customer_ids()[0];
     match client.score(probe.raw()).expect("score rpc") {

@@ -30,15 +30,14 @@
 //!    Under `SyncPolicy::Always` this implies every *acknowledged*
 //!    `INGEST`/`FLUSH` survives (checked explicitly as well).
 //! 2. **Exact prefix state.** The recovered monitor must be
-//!    bit-identical (snapshot string equality) to a reference
+//!    bit-identical (binary snapshot equality) to a reference
 //!    [`StabilityMonitor`] folded over exactly the surviving WAL prefix
 //!    — so no un-logged (and in particular no never-acknowledged,
 //!    never-executed) record is ever visible, and replay reproduces the
 //!    out-of-order rejections the live server made.
-//! 3. **Format interoperability.** Re-encoding the recovered state as
-//!    a binary snapshot and restoring it again yields a bit-identical
-//!    text snapshot. Each run checkpoints in the text or binary format
-//!    (chosen per seed), so the sweep exercises recovery from both.
+//! 3. **Snapshot round trip.** Encoding the recovered state as a
+//!    binary snapshot and restoring it again yields the identical
+//!    bytes.
 //!
 //! Between crashes, every `SCORE` response is compared bit-for-bit
 //! against a live reference monitor fed the applied mutations, and
@@ -48,7 +47,6 @@
 
 use crate::env::{SimClock, SimStorage};
 use attrition_core::{StabilityMonitor, StabilityParams};
-use attrition_serve::checkpoint::CheckpointFormat;
 use attrition_serve::engine::{BatchScratch, DurabilityConfig, Engine, MemberOutcome, WAL_FAILURE};
 use attrition_serve::protocol::{format_score, member_responses, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
@@ -58,7 +56,6 @@ use attrition_serve::{FaultPlan, Service, SplitMix64, Storage, SyncPolicy};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date, ItemId};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,9 +95,6 @@ pub struct SimConfig {
     pub checkpoint_every_requests: u64,
     /// Checkpoint time trigger in *logical* time (None disables).
     pub checkpoint_every: Option<Duration>,
-    /// On-disk checkpoint framing the engine writes — both formats must
-    /// satisfy the same invariants.
-    pub checkpoint_format: CheckpointFormat,
     /// Re-introduced bug, if self-testing the harness.
     pub bug: Option<SimBug>,
 }
@@ -109,10 +103,9 @@ impl SimConfig {
     /// The sweep configuration for one seed: moderate fault rates
     /// everywhere, sync policy alternating by seed parity (`Always` on
     /// even seeds — where acked-survival is asserted — `Interval(3)` on
-    /// odd ones, where only the sync floor is), and checkpoint format
-    /// alternating on the next seed bit (so each `(policy, format)`
-    /// pair is swept). Everything is a pure function of the seed —
-    /// the repro command re-derives the same world, format included.
+    /// odd ones, where only the sync floor is). Everything is a pure
+    /// function of the seed — the repro command re-derives the same
+    /// world.
     pub fn for_seed(seed: u64) -> SimConfig {
         SimConfig {
             seed,
@@ -127,11 +120,6 @@ impl SimConfig {
             faults: FaultPlan::seeded(seed),
             checkpoint_every_requests: 24,
             checkpoint_every: Some(Duration::from_secs(2)),
-            checkpoint_format: if (seed >> 1).is_multiple_of(2) {
-                CheckpointFormat::Binary
-            } else {
-                CheckpointFormat::Text
-            },
             bug: None,
         }
     }
@@ -505,13 +493,12 @@ impl Sim {
         let storage: Arc<SimStorage> = Arc::new(SimStorage::new());
         let clock = Arc::new(SimClock::new());
         let dcfg = DurabilityConfig {
-            wal_dir: PathBuf::from("/sim/wal"),
             sync_policy: config.sync_policy,
             checkpoint_every_requests: config.checkpoint_every_requests,
             checkpoint_every: config.checkpoint_every,
             keep_checkpoints: 2,
-            checkpoint_format: config.checkpoint_format,
             fault_plan: Some(config.faults.clone()),
+            ..DurabilityConfig::new("/sim/wal")
         };
         let monitor = ShardedMonitor::new(
             config.n_shards,
@@ -636,7 +623,8 @@ impl Sim {
         // reproduced.
         self.ledger.invariant_checks += 1;
         let reference = self.ledger.fold(floor);
-        if reference.snapshot() != monitor.snapshot() {
+        let recovered = monitor.snapshot_bytes();
+        if reference.snapshot_bytes() != recovered {
             self.violation(format!(
                 "recovered state diverges from the acknowledged prefix at seq {floor} \
                  ({} records folded): snapshots differ",
@@ -644,18 +632,14 @@ impl Sim {
             ));
             return;
         }
-        // Invariant 3: format interoperability. The recovered state,
-        // re-encoded as a *binary* snapshot and restored again, must be
-        // bit-identical to its text snapshot — whichever format the
-        // engine was checkpointing in this run.
+        // Invariant 3: the recovered state's binary snapshot restores to
+        // a monitor that re-encodes it byte for byte.
         self.ledger.invariant_checks += 1;
-        match StabilityMonitor::restore_any(&monitor.snapshot_bytes()) {
+        match StabilityMonitor::restore_bytes(&recovered) {
             Ok(round_tripped) => {
-                if round_tripped.snapshot() != monitor.snapshot() {
+                if round_tripped.snapshot_bytes() != recovered {
                     self.violation(format!(
-                        "binary snapshot round-trip diverges after recovery at seq {floor} \
-                         (checkpoint format {})",
-                        self.config.checkpoint_format
+                        "binary snapshot round-trip diverges after recovery at seq {floor}"
                     ));
                     return;
                 }
@@ -824,41 +808,6 @@ mod tests {
             report.ops != config.n_ops || report.acked != config.n_ops,
             "no transport fault had any effect: {report:?}"
         );
-    }
-
-    #[test]
-    fn checkpoint_format_is_a_pure_function_of_the_seed() {
-        // The repro command only carries the seed, so everything the
-        // world depends on — format included — must re-derive from it.
-        assert_eq!(
-            SimConfig::for_seed(0).checkpoint_format,
-            CheckpointFormat::Binary
-        );
-        assert_eq!(
-            SimConfig::for_seed(2).checkpoint_format,
-            CheckpointFormat::Text
-        );
-        // Seeds 0..4 cover every (sync policy, format) pair.
-        let formats: Vec<CheckpointFormat> = (0..4)
-            .map(|s| SimConfig::for_seed(s).checkpoint_format)
-            .collect();
-        assert!(formats.contains(&CheckpointFormat::Text));
-        assert!(formats.contains(&CheckpointFormat::Binary));
-        for s in 0..4 {
-            assert_eq!(
-                SimConfig::for_seed(s).checkpoint_format,
-                SimConfig::for_seed(s).checkpoint_format
-            );
-        }
-    }
-
-    #[test]
-    fn both_checkpoint_formats_survive_the_sim() {
-        for seed in [0, 2] {
-            let config = SimConfig::for_seed(seed);
-            let report = run(&config);
-            report.assert_ok();
-        }
     }
 
     #[test]

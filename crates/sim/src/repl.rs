@@ -24,8 +24,7 @@
 //!   shipment, every recovery, and at the promotion point, the
 //!   replica's merged monitor snapshot must be byte-identical to a
 //!   reference monitor folded over exactly the primary's logged ops up
-//!   to the replica's applied LSN (text at every check; the binary
-//!   framing too at promotion and at the final crash).
+//!   to the replica's applied LSN (compared as binary snapshots).
 //!
 //! Alongside those, the single-node invariants keep running on both
 //! nodes (durability floor on every recovery, acked-survival under
@@ -69,7 +68,6 @@ use attrition_core::{StabilityMonitor, StabilityParams};
 use attrition_replica::{
     FetchResponse, PrimaryService, RejoinRequest, RejoinResponse, ReplicaConfig, ReplicaEngine,
 };
-use attrition_serve::checkpoint::CheckpointFormat;
 use attrition_serve::engine::{DurabilityConfig, Engine};
 use attrition_serve::protocol::{format_score, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
@@ -129,8 +127,6 @@ pub struct ReplSimConfig {
     /// truncate its WAL, forcing the replica's snapshot-bootstrap path
     /// whenever it lags past one).
     pub checkpoint_every_requests: u64,
-    /// Checkpoint framing both nodes write and ship.
-    pub checkpoint_format: CheckpointFormat,
     /// Per-round rate of partition windows on each link direction.
     pub partition_per_mille: u32,
     /// Records the replica requests per fetch.
@@ -148,9 +144,9 @@ pub struct ReplSimConfig {
 
 impl ReplSimConfig {
     /// The sweep configuration for one seed: every fault class on, sync
-    /// policies and checkpoint format alternating across seed bits so
-    /// the sweep covers each combination, and a small batch size on
-    /// some seeds to force multi-round catch-ups.
+    /// policies alternating across seed bits so the sweep covers each
+    /// combination, and a small batch size on some seeds to force
+    /// multi-round catch-ups.
     pub fn for_seed(seed: u64) -> ReplSimConfig {
         ReplSimConfig {
             seed,
@@ -169,11 +165,6 @@ impl ReplSimConfig {
             },
             faults: FaultPlan::seeded(seed),
             checkpoint_every_requests: 24,
-            checkpoint_format: if (seed >> 1).is_multiple_of(2) {
-                CheckpointFormat::Binary
-            } else {
-                CheckpointFormat::Text
-            },
             partition_per_mille: 12,
             batch_max: if (seed >> 3).is_multiple_of(2) { 64 } else { 5 },
             rejoin_phase: false,
@@ -389,28 +380,26 @@ impl ReplSim {
         let storage_r: Arc<SimStorage> = Arc::new(SimStorage::new());
         let clock = Arc::new(SimClock::new());
         let pcfg = DurabilityConfig {
-            wal_dir: PathBuf::from(PRIMARY_DIR),
             sync_policy: config.primary_sync,
             checkpoint_every_requests: config.checkpoint_every_requests,
             checkpoint_every: None,
             keep_checkpoints: 2,
-            checkpoint_format: config.checkpoint_format,
             fault_plan: Some(config.faults.clone()),
+            ..DurabilityConfig::new(PRIMARY_DIR)
         };
         let rcfg = ReplicaConfig {
             wal_dir: PathBuf::from(REPLICA_DIR),
             n_shards: config.n_shards,
             durability: DurabilityConfig {
-                wal_dir: PathBuf::from(REPLICA_DIR),
                 sync_policy: config.replica_sync,
                 checkpoint_every_requests: 16,
                 checkpoint_every: None,
                 keep_checkpoints: 2,
-                checkpoint_format: config.checkpoint_format,
                 fault_plan: Some(FaultPlan {
                     seed: config.seed ^ 0x0E70_0000_0000_0016,
                     ..config.faults.clone()
                 }),
+                ..DurabilityConfig::new(REPLICA_DIR)
             },
             fallback: fallback(),
             accept_stale_epoch: config.bug == Some(ReplSimBug::AcceptStaleEpoch),
@@ -422,16 +411,15 @@ impl ReplSim {
             wal_dir: PathBuf::from(PRIMARY_DIR),
             n_shards: config.n_shards,
             durability: DurabilityConfig {
-                wal_dir: PathBuf::from(PRIMARY_DIR),
                 sync_policy: config.replica_sync,
                 checkpoint_every_requests: 16,
                 checkpoint_every: None,
                 keep_checkpoints: 2,
-                checkpoint_format: config.checkpoint_format,
                 fault_plan: Some(FaultPlan {
                     seed: config.seed ^ 0x0E70_0000_0000_0019,
                     ..config.faults.clone()
                 }),
+                ..DurabilityConfig::new(PRIMARY_DIR)
             },
             fallback: fallback(),
             accept_stale_epoch: false,
@@ -674,7 +662,7 @@ impl ReplSim {
         self.repl_mirror_seq = applied;
         self.ledger.invariant_checks += 1;
         let engine = self.replica.engine();
-        if engine.monitor().snapshot() != self.repl_mirror.snapshot() {
+        if engine.monitor().snapshot_bytes() != self.repl_mirror.snapshot_bytes() {
             self.violation(format!(
                 "R2 violated {context}: replica state at LSN {applied} is not byte-equal \
                  to the primary's log prefix"
@@ -755,7 +743,7 @@ impl ReplSim {
         self.ledger.oplog.retain(|e| e.seq <= floor);
         self.ledger.invariant_checks += 1;
         let reference = self.ledger.fold(floor);
-        if reference.snapshot() != monitor.snapshot() {
+        if reference.snapshot_bytes() != monitor.snapshot_bytes() {
             self.violation(format!(
                 "recovered primary diverges from its acknowledged prefix at seq {floor}"
             ));
@@ -871,7 +859,7 @@ impl ReplSim {
         self.ledger.oplog.retain(|e| e.seq <= floor);
         self.ledger.invariant_checks += 1;
         let reference = self.ledger.fold(floor);
-        if reference.snapshot() != self.replica.engine().monitor().snapshot() {
+        if reference.snapshot_bytes() != self.replica.engine().monitor().snapshot_bytes() {
             self.violation(format!(
                 "recovered promoted node diverges from its acknowledged prefix at seq {floor}"
             ));
@@ -942,20 +930,13 @@ impl ReplSim {
         self.ledger.mirror = self.ledger.fold(lsn);
         self.repl_mirror = self.ledger.fold(lsn);
         self.repl_mirror_seq = lsn;
-        // Invariant R2 at the promotion point, text and binary framing.
+        // Invariant R2 at the promotion point.
         let engine = self.replica.engine();
-        self.ledger.invariant_checks += 1;
-        if engine.monitor().snapshot() != self.ledger.mirror.snapshot() {
-            self.violation(format!(
-                "R2 violated at promotion: state at LSN {lsn} is not byte-equal to the \
-                 surviving log prefix"
-            ));
-            return;
-        }
         self.ledger.invariant_checks += 1;
         if engine.monitor().snapshot_bytes() != self.ledger.mirror.snapshot_bytes() {
             self.violation(format!(
-                "R2 (binary) violated at promotion: snapshot bytes differ at LSN {lsn}"
+                "R2 violated at promotion: state at LSN {lsn} is not byte-equal to the \
+                 surviving log prefix"
             ));
             return;
         }
@@ -1109,7 +1090,7 @@ impl ReplSim {
         }
         self.rj_mirror_seq = applied;
         self.ledger.invariant_checks += 1;
-        if rj.engine().monitor().snapshot() != self.rj_mirror.snapshot() {
+        if rj.engine().monitor().snapshot_bytes() != self.rj_mirror.snapshot_bytes() {
             self.violation(format!(
                 "R3 violated {context}: rejoined-node state at LSN {applied} is not \
                  byte-equal to the new primary's log prefix (a divergent record survived?)"
@@ -1210,8 +1191,8 @@ impl ReplSim {
 
     /// End of the rejoin phase: the network heals (direct respond/apply,
     /// no SimNet) and the rejoined node must fully converge — caught up
-    /// to the new primary's durable floor and byte-equal to it at the
-    /// same LSN, text and binary framing both.
+    /// to the new primary's durable floor and its binary snapshot
+    /// byte-equal to the new primary's at the same LSN.
     fn drain_rejoin(&mut self) {
         if let Err(e) = self.replica.engine().sync_wal() {
             self.violation(format!("final sync on the promoted node failed: {e}"));
@@ -1265,20 +1246,13 @@ impl ReplSim {
         }
         // R3 head-to-head: both nodes stand at the same LSN now, so
         // their snapshots must match byte for byte — no reference fold
-        // in between — in both framings.
-        self.ledger.invariant_checks += 1;
-        if rj.engine().monitor().snapshot() != self.replica.engine().monitor().snapshot() {
-            self.violation(format!(
-                "R3 violated at drain: rejoined node and new primary differ at LSN {target}"
-            ));
-            return;
-        }
+        // in between.
         self.ledger.invariant_checks += 1;
         if rj.engine().monitor().snapshot_bytes()
             != self.replica.engine().monitor().snapshot_bytes()
         {
             self.violation(format!(
-                "R3 (binary) violated at drain: snapshot bytes differ at LSN {target}"
+                "R3 violated at drain: rejoined node and new primary differ at LSN {target}"
             ));
         }
     }
@@ -1422,16 +1396,10 @@ mod tests {
     fn the_sweep_shape_is_a_pure_function_of_the_seed() {
         // The repro command carries only the seed, so every knob must
         // re-derive from it, and nearby seeds must cover both sync
-        // policies, both checkpoint formats, and both batch sizes.
+        // policies and both batch sizes.
         let configs: Vec<ReplSimConfig> = (0..16).map(ReplSimConfig::for_seed).collect();
         assert!(configs.iter().any(|c| c.primary_sync == SyncPolicy::Always));
         assert!(configs.iter().any(|c| c.primary_sync != SyncPolicy::Always));
-        assert!(configs
-            .iter()
-            .any(|c| c.checkpoint_format == CheckpointFormat::Text));
-        assert!(configs
-            .iter()
-            .any(|c| c.checkpoint_format == CheckpointFormat::Binary));
         assert!(configs.iter().any(|c| c.batch_max == 5));
         assert!(configs.iter().any(|c| c.batch_max == 64));
     }

@@ -221,12 +221,12 @@ fn scripted_stale_shipment_is_fenced_and_the_bug_applies_it() {
         // The primary dies; the replica takes over at LSN 3, epoch 2.
         let (_verb, promoted) = replica.respond("PROMOTE");
         assert_eq!(promoted, "OK promoted 2 3");
-        let before = replica.engine().monitor().snapshot();
+        let before = replica.engine().monitor().snapshot_bytes();
 
         // Now the in-flight epoch-1 shipment (records 4..=6, above the
         // takeover LSN) lands.
         (replica.apply_response(&stale), {
-            let after = replica.engine().monitor().snapshot();
+            let after = replica.engine().monitor().snapshot_bytes();
             if after == before {
                 "unchanged".into()
             } else {

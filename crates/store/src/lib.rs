@@ -20,7 +20,6 @@
 pub mod binary_io;
 pub mod csv_io;
 pub mod error;
-pub mod query;
 pub mod receipt_store;
 pub mod replay;
 pub mod segment_view;
@@ -32,7 +31,6 @@ pub use binary_io::{
     ByteWriter,
 };
 pub use error::StoreError;
-pub use query::Query;
 pub use receipt_store::{ReceiptRef, ReceiptStore, ReceiptStoreBuilder};
 pub use replay::chronological;
 pub use segment_view::project_to_segments;

@@ -33,8 +33,9 @@ fn main() {
         // monitor state and restore it — the remaining stream produces
         // identical results (the restart is invisible to the output).
         if n == midpoint {
-            let checkpoint = monitor.snapshot();
-            monitor = StabilityMonitor::restore(&checkpoint).expect("own checkpoint restores");
+            let checkpoint = monitor.snapshot_bytes();
+            monitor =
+                StabilityMonitor::restore_bytes(&checkpoint).expect("own checkpoint restores");
             println!(
                 "[restarted from a {}-byte checkpoint at receipt {n}; {} customers restored]\n",
                 checkpoint.len(),

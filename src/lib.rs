@@ -16,7 +16,7 @@
 //! | [`datagen`] | `attrition-datagen` | synthetic grocery-retail simulator |
 //! | [`model`] | `attrition-core` | the stability model: significance, stability, explanation |
 //! | [`rfm`] | `attrition-rfm` | the RFM + logistic-regression baseline |
-//! | [`eval`] | `attrition-eval` | ROC/AUROC, cross-validation, grid search, calibration |
+//! | [`eval`] | `attrition-eval` | ROC/AUROC, DeLong CIs, cross-validation, grid search, gains, detection latency |
 //! | [`obs`] | `attrition-obs` | pipeline observability: metrics registry, stage timers |
 //! | [`serve`] | `attrition-serve` | online scoring server: sharded monitors behind a TCP line protocol |
 //!

@@ -1,12 +1,11 @@
 //! Integration tests of the extension APIs (recovery detection, gains
-//! curves, store queries, ranking, significance variants) against a
+//! curves, ranking, significance variants) against a
 //! generated dataset — the features beyond the paper's core that
 //! DESIGN.md §7 commits to.
 
 use attrition::eval::GainsCurve;
 use attrition::model::{detect_recoveries, stability_series_variant, SignificanceVariant};
 use attrition::prelude::*;
-use attrition::store::Query;
 
 fn prepared() -> (
     attrition::datagen::GeneratedDataset,
@@ -59,38 +58,6 @@ fn gains_curve_supports_campaign_sizing() {
     // And capturing 80% of defectors must need well under 80% targeting.
     let targeted = curve.targeted_for(0.8).unwrap();
     assert!(targeted < 0.6, "needs {targeted} targeting for 80% capture");
-}
-
-#[test]
-fn queries_compose_with_models() {
-    let (dataset, _, _) = prepared();
-    let cfg = &dataset.config;
-    // Restrict the store to the pre-onset period and to loyal customers:
-    // total spend must be positive, and re-windowing the filtered store
-    // still works.
-    let loyal: Vec<CustomerId> = dataset
-        .labels
-        .labels()
-        .iter()
-        .filter(|l| !l.cohort.is_defector())
-        .map(|l| l.customer)
-        .collect();
-    let sub = Query::new()
-        .customers(loyal.iter().copied())
-        .until(cfg.start.add_months(cfg.onset_month as i32))
-        .materialize(&dataset.store);
-    assert!(sub.num_receipts() > 0);
-    assert_eq!(sub.num_customers(), loyal.len());
-    let (_, hi) = sub.date_range().unwrap();
-    assert!(hi < cfg.start.add_months(cfg.onset_month as i32));
-    // The filtered store windows and scores cleanly.
-    let db = WindowedDatabase::covering_store(
-        &sub,
-        WindowSpec::months(cfg.start, 2),
-        WindowAlignment::Global,
-    );
-    let matrix = StabilityEngine::new(StabilityParams::PAPER).compute(&db);
-    assert_eq!(matrix.num_customers(), loyal.len());
 }
 
 #[test]

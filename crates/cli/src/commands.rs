@@ -145,10 +145,14 @@ DURABILITY (see README's Durability section):
 Serves INGEST/SCORE/FLUSH/SNAPSHOT/STATS/PING/SHUTDOWN until SHUTDOWN or
 ctrl-c, then drains connections, writes the snapshot (if configured) and
 prints a summary. With --wal-dir the exit code is nonzero when the final
-checkpoint or snapshot failed (the WAL is retained; recovery replays it)
-or when recovery finds acknowledged records in no readable checkpoint
-and not in the WAL (it names their sequence numbers instead of serving
-without them),
+checkpoint or snapshot failed (the WAL is retained; recovery replays it),
+when recovery finds acknowledged records in no readable checkpoint and
+not in the WAL (it names their sequence numbers instead of serving
+without them) or a logged record the monitor refuses (it names its
+sequence number; stop a server of an earlier version cleanly before
+upgrading), and when the WAL died: a failed fsync is never retried, so
+the server stops acknowledging writes, drains by itself and exits
+naming the first failure,
 and the server also acts as a replication primary: `attrition replicate`
 followers pull its WAL over the REPL verb (see README's Replication
 section). See README's Serving section for the protocol."
@@ -185,8 +189,12 @@ Answers SCORE/STATS/PING locally while rejecting INGEST/FLUSH (read-only);
 `PROMOTE` fsyncs the local WAL, durably bumps the epoch and starts
 accepting writes — the promoted node then serves REPL to the next replica.
 A fenced fetch triggers the rejoin handshake automatically; `--rejoin`
-just runs it eagerly at startup. See README's Replication section for the
-failover and rejoin walkthroughs."
+just runs it eagerly at startup. The exit code is nonzero when recovery
+fails, when the final checkpoint or snapshot failed, and when the
+replica's own WAL died: a failed fsync is never retried, so the replica
+stops applying, drains by itself and exits naming the first failure;
+restart it on the same --wal-dir to catch up. See README's Replication
+section for the failover and rejoin walkthroughs."
             .into(),
         "dump" => "\
 attrition dump — print a checkpoint or snapshot file's state as text

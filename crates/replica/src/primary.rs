@@ -2,8 +2,9 @@
 //! replication verbs, behind one [`Service`].
 //!
 //! [`PrimaryService`] answers `REPL` (from the [`ReplicationLog`]
-//! capped at the engine's durable floor), `REJOIN` and `PROMOTE` (a
-//! primary is not promotable — `ERR`) in member position, and passes
+//! capped at the engine's durable floor; inside a `BATCH` frame, one
+//! `ERR` line), `REJOIN` and `PROMOTE` (a primary is not promotable —
+//! `ERR`) in member position, and passes
 //! each maximal run of the other members of a frame to the engine as
 //! one sub-frame ([`execute_split`]): a `BATCH` of writes pays one group
 //! commit, exactly as on a bare engine. Plugging it into
@@ -24,6 +25,9 @@ use std::sync::Arc;
 /// for — bounds the response size and the time the fetch handler
 /// spends re-reading the log.
 pub use crate::wire::MAX_BATCH_RECORDS;
+
+/// A `REPL` inside a `BATCH` frame: its shipment would span lines.
+pub(crate) const REPL_IN_BATCH: &str = "ERR REPL not allowed in BATCH";
 
 /// Answer one `REPL` line from `log`, stamped with `epoch`, capped at
 /// `engine`'s durable floor. Shared by the primary and by a promoted
@@ -148,9 +152,11 @@ impl PrimaryService {
         &self.engine
     }
 
-    /// Answer one of this front-end's own verbs.
-    fn answer_own(&self, line: &str) -> (&'static str, String) {
+    /// Answer one of this front-end's own verbs (`batched`: in member
+    /// position of a `BATCH` frame).
+    fn answer_own(&self, line: &str, batched: bool) -> (&'static str, String) {
         match line.split_ascii_whitespace().next() {
+            Some("REPL") if batched => ("repl", REPL_IN_BATCH.to_owned()),
             Some("REPL") => (
                 "repl",
                 answer_repl(line, self.epoch, &self.engine, &self.log),
@@ -173,7 +179,7 @@ impl Service for PrimaryService {
                     Some("REPL" | "REJOIN" | "PROMOTE")
                 )
             },
-            |line| self.answer_own(line),
+            |line, batched| self.answer_own(line, batched),
             (&self.repl_requests, &self.repl_errors),
             |run, scratch, out| self.engine.execute(run, scratch, out),
         );

@@ -7,15 +7,14 @@
 //! engine `execute` path the primary ran — one group commit for the
 //! whole batch, the replica's own WAL assigning the same sequence
 //! numbers (batches are contiguous and applied in order, and a frame's
-//! records land contiguously), the same out-of-order ingests rejected.
-//! Afterwards the replica checks every member's
+//! records land contiguously). The primary logged only mutations its
+//! monitor accepted, so the replica's monitor, in the same state,
+//! accepts each one. Afterwards the replica checks every member's
 //! [`MemberOutcome::seq`](attrition_serve::MemberOutcome) against its
 //! record's sequence number; a mismatch is a hard error, never papered
-//! over. Records that reached the log but failed in the WAL afterwards
-//! (a failed fsync) were answered `ERR` and not applied: the replica
-//! then rebuilds its engine from its own log, so its state is again the
-//! fold of that log — unless the WAL is dead, which only a restart
-//! (recovery) may heal.
+//! over. A failed group commit leaves the replica's WAL dead and its
+//! engine shutting down: only a restart (recovery) continues from the
+//! log.
 //!
 //! ## Idempotency and fencing
 //!
@@ -53,7 +52,7 @@
 
 use crate::epoch;
 use crate::log::ReplicationLog;
-use crate::primary::{answer_rejoin, answer_repl};
+use crate::primary::{answer_rejoin, answer_repl, REPL_IN_BATCH};
 use crate::wire::FetchRequest;
 use crate::wire::FetchResponse;
 use attrition_serve::checkpoint;
@@ -268,41 +267,23 @@ impl ReplicaEngine {
                     .zip(scratch.outcomes())
                     .zip(member_responses(&out));
                 for ((r, outcome), response) in members {
+                    if response.starts_with(WAL_FAILURE) && inner.wal_crashed() {
+                        // A failed commit (or append on a dead log): the
+                        // engine stops; only recovery may read the log.
+                        return Err(format!(
+                            "record {} failed in the replica's wal ({response}); \
+                             the wal is dead, restart the node",
+                            r.seq
+                        ));
+                    }
                     if outcome.seq != r.seq {
                         // The op did not log exactly this record — a
-                        // non-mutating verb in the stream or a local WAL
-                        // failure. Divergence, not something to skip.
+                        // non-mutating verb in the stream or a failed
+                        // append. Divergence, not something to skip.
                         return Err(format!(
                             "replica log misaligned: record {} left the log at {}",
                             r.seq,
                             inner.wal_last_seq()
-                        ));
-                    }
-                    if response.starts_with(WAL_FAILURE) {
-                        if inner.wal_crashed() {
-                            // The log is dead (a process death under
-                            // fault injection): only recovery may read it.
-                            return Err(format!(
-                                "record {} failed in the replica's wal ({response}); \
-                                 the wal is dead, restart the node",
-                                r.seq
-                            ));
-                        }
-                        // Logged but not applied (the group commit
-                        // failed). Counting it applied would leave the
-                        // replica behind its own log for good: the next
-                        // fetch starts after it. Rebuild from the log
-                        // instead, which replays it.
-                        let mut guard = self
-                            .inner
-                            .write()
-                            .unwrap_or_else(|poison| poison.into_inner());
-                        self.reload(&mut guard)
-                            .map_err(|e| format!("rebuild after a wal failure failed: {e}"))?;
-                        return Err(format!(
-                            "record {} failed in the replica's wal ({response}); \
-                             state rebuilt from the local log",
-                            r.seq
                         ));
                     }
                 }
@@ -526,12 +507,14 @@ impl ReplicaEngine {
         Ok((new_epoch, lsn))
     }
 
-    /// Answer one of this front-end's own verbs.
-    fn answer_own(&self, line: &str) -> (&'static str, String) {
+    /// Answer one of this front-end's own verbs (`batched`: in member
+    /// position of a `BATCH` frame).
+    fn answer_own(&self, line: &str, batched: bool) -> (&'static str, String) {
         match line.split_ascii_whitespace().next() {
             // A replica serves its own log too — that is what lets a
             // promoted node immediately act as the next primary (and
             // supports chained replicas).
+            Some("REPL") if batched => ("repl", REPL_IN_BATCH.to_owned()),
             Some("REPL") => (
                 "repl",
                 answer_repl(line, self.epoch(), &self.engine(), &self.log),
@@ -591,7 +574,7 @@ impl Service for ReplicaEngine {
                 Some("INGEST" | "FLUSH") => !self.promoted(),
                 _ => false,
             },
-            |line| self.answer_own(line),
+            |line, batched| self.answer_own(line, batched),
             (&self.base_requests, &self.base_errors),
             |run, scratch, out| self.engine().execute(run, scratch, out),
         );

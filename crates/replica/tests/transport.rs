@@ -230,3 +230,80 @@ fn malformed_replication_frames_err_gracefully_on_a_surviving_connection() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `REPL` in member position of a `BATCH` frame answers one `ERR`
+/// line, so the frame's reply splits with the plain member-response
+/// readers — `protocol::member_responses` in memory and
+/// `Client::read_batch_replies` over TCP — while a single-line `REPL`
+/// still ships an `RBATCH`.
+#[test]
+fn repl_inside_a_batch_frame_answers_one_line() {
+    use attrition_serve::{member_responses, BatchScratch, Client, Reply};
+
+    let dir = temp_dir("repl_in_batch");
+    let spec = WindowSpec::months(Date::from_ymd(2012, 5, 1).unwrap(), 1);
+    let params = StabilityParams::PAPER;
+    let monitor = ShardedMonitor::new(2, spec, params, 5);
+    let engine =
+        Arc::new(Engine::open(monitor, None, Some(&DurabilityConfig::new(&dir)), 1).unwrap());
+    let primary = Arc::new(PrimaryService::open(Arc::clone(&engine), &dir).unwrap());
+    let frame: Vec<String> = [
+        "INGEST 1 2012-05-02 10 11",
+        "REPL 1 0 8",
+        "INGEST 1 2012-07-02 12",
+        "SCORE 1",
+        "PING",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+
+    let mut out = String::new();
+    primary.respond_batch(&frame, &mut BatchScratch::new(), &mut out);
+    let body = out.strip_prefix("OKBATCH 5\n").expect(&out);
+    let members: Vec<&str> = member_responses(body).collect();
+    assert_eq!(members.len(), 5, "{out:?}");
+    assert_eq!(members[0], "OK 0");
+    assert_eq!(members[1], "ERR REPL not allowed in BATCH");
+    assert!(
+        members[2].starts_with("OK 2\nCLOSED 1 0 "),
+        "{}",
+        members[2]
+    );
+    assert!(members[3].starts_with("SCORE 1 2 "), "{}", members[3]);
+    assert_eq!(members[4], "PONG");
+
+    let mut config = ServerConfig::new("127.0.0.1:0", spec, params);
+    config.workers = 2;
+    let handle =
+        attrition_serve::start_service(config, Arc::clone(&primary) as Arc<dyn Service>).unwrap();
+    let mut client = Client::connect(handle.local_addr(), Duration::from_secs(10)).unwrap();
+    let frame: Vec<String> = ["INGEST 2 2012-07-03 10", "REPL 1 0 8", "SCORE 2"]
+        .map(str::to_owned)
+        .to_vec();
+    client.write_batch(&frame).unwrap();
+    let replies = client.read_batch_replies(3).unwrap();
+    assert!(matches!(&replies[0], Reply::Closed(_)), "{replies:?}");
+    assert_eq!(
+        replies[1],
+        Reply::Err("REPL not allowed in BATCH".to_owned())
+    );
+    assert!(matches!(&replies[2], Reply::Score(_)), "{replies:?}");
+    drop(client);
+
+    // A single-line REPL is a shipment: the three logged records.
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let shipped = roundtrip(&mut reader, "REPL 1 0 8");
+    match FetchResponse::parse(&shipped) {
+        Ok(FetchResponse::Batch { records, .. }) => assert_eq!(records.len(), 3, "{shipped}"),
+        other => panic!("a single-line REPL must ship records: {other:?}"),
+    }
+
+    handle.request_shutdown();
+    drop(reader);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,9 +5,9 @@
 //! checkpoint triggers) and the shutdown/request counters, and executes
 //! one frame at a time through [`Service::execute`]: a single request
 //! line is a frame of one, a `BATCH n` frame's members a frame of n, and
-//! both take the same path — parse, log, one group commit, apply,
-//! answer. The TCP layer ([`server`](crate::server)) wraps it in an
-//! accept loop and a worker pool; the deterministic simulator
+//! both take the same path — parse; check, log and apply each member;
+//! one group commit; answer. The TCP layer ([`server`](crate::server))
+//! wraps it in an accept loop and a worker pool; the deterministic simulator
 //! (`attrition-sim`) calls that same method directly — same code, same
 //! WAL, same checkpoints, no sockets or threads required.
 //!
@@ -25,7 +25,7 @@ use crate::protocol::{
     ParseError, ParsedRequest, Request,
 };
 use crate::server::Service;
-use crate::shard::{OutOfOrder, ShardedMonitor};
+use crate::shard::{apply, OutOfOrder, ShardedMonitor};
 use crate::wal::{self, LogEnd, SyncPolicy, Wal, WAL_FILE};
 use attrition_core::{StabilityPoint, WindowClosed};
 use attrition_types::{CustomerId, ItemId};
@@ -36,9 +36,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// The prefix of every answer to a mutation that failed in the WAL
-/// (`ERR wal append failed: …`, `ERR wal commit failed: …`): the request
-/// was not applied, though its record may be in the log — after a failed
-/// commit it is.
+/// (`ERR wal append failed: …`, `ERR wal commit failed: …`). After a
+/// failed commit the member was logged and applied, but never acked.
 pub const WAL_FAILURE: &str = "ERR wal ";
 
 /// Configuration of the durability subsystem (WAL + checkpoints).
@@ -84,11 +83,13 @@ impl DurabilityConfig {
     }
 }
 
-/// The durability state behind one lock: holding it across WAL append
-/// *and* monitor apply keeps log order identical to apply order, and
-/// makes every checkpoint an exact cut at `wal.last_seq()`.
+/// The durability state behind one lock: holding it across a frame's
+/// check, append *and* apply keeps log order identical to apply order
+/// and makes every checkpoint an exact cut at `wal.last_seq()`.
 struct Durable {
     wal: Wal,
+    /// Reusable canonical op line for WAL appends.
+    op_line: String,
     dir: PathBuf,
     storage: Arc<dyn Storage>,
     clock: Arc<dyn Clock>,
@@ -101,17 +102,39 @@ struct Durable {
 }
 
 impl Durable {
-    /// Bookkeeping after a frame's `n` logged requests were applied:
-    /// fire a periodic checkpoint when a trigger is due. Called only
-    /// **after** the frame's apply loop — checkpointing between log and
-    /// apply would cut at an LSN covering records the monitor has not
-    /// absorbed yet, and the truncation would lose them. Checkpoint
-    /// failures degrade to a counter + log line — the WAL still holds
-    /// everything, so serving beats dying; the next trigger retries.
-    fn after_logged(&mut self, monitor: &ShardedMonitor, n: u64) {
-        if n == 0 {
-            return;
+    /// Append an accepted mutation's record (items in wire order), its LSN
+    /// into `seq`, when durability is on; the frame's commit syncs it. A
+    /// failure refuses it and, through `failed`, the frame's later ones.
+    fn log(
+        durable: Option<&mut Durable>,
+        request: &ParsedRequest,
+        items: &[ItemId],
+        seq: &mut u64,
+        failed: &mut Option<String>,
+    ) -> Result<(), Answer> {
+        let Some(d) = durable else { return Ok(()) };
+        d.op_line.clear();
+        match request {
+            ParsedRequest::Ingest(customer, date, range) => {
+                write_ingest_line(&mut d.op_line, *customer, *date, &items[range.clone()]);
+            }
+            ParsedRequest::Flush(date) => write_flush_line(&mut d.op_line, *date),
+            other => panic!("{} is not a mutation", other.verb()),
         }
+        *seq = d.wal.append_deferred(&d.op_line).map_err(|e| {
+            Answer::Refused(failed.insert(format!("wal append failed: {e}")).clone())
+        })?;
+        Ok(())
+    }
+
+    /// Bookkeeping after a frame's `n` logged requests were committed:
+    /// fire a periodic checkpoint when a trigger is due. Called only
+    /// **after** the frame's members were applied — a cut taken earlier
+    /// would cover records the monitor has not absorbed yet, and the
+    /// truncation would lose them. Checkpoint failures degrade to a
+    /// counter + log line — the WAL still holds everything, so serving
+    /// beats dying; the next trigger retries.
+    fn after_commit(&mut self, monitor: &ShardedMonitor, n: u64) {
         self.since_checkpoint += n;
         let due_count = self.checkpoint_every_requests > 0
             && self.since_checkpoint >= self.checkpoint_every_requests;
@@ -186,25 +209,18 @@ pub struct MemberOutcome {
     /// The member's verb as used in per-verb metric names (`parse` for
     /// a line that did not parse).
     pub verb: &'static str,
-    /// The WAL sequence number the member's record got (0 when the
-    /// member was not logged: read-only, parse error, or its append —
-    /// or an earlier member's in the same frame — failed).
+    /// The WAL sequence number the member's record got, 0 if none. A
+    /// mutation is logged iff applied, and acked only if answered `OK`.
     pub seq: u64,
-    /// Whether a WAL record for this member is in the log file. A
-    /// logged member whose group commit failed keeps `logged = true`
-    /// (recovery may replay it) but is answered `ERR` and not applied.
-    pub logged: bool,
-    /// Whether the member mutated the live monitor.
-    pub applied: bool,
 }
 
 /// Reusable per-connection scratch for executing frames: the item arena
 /// the members parse into, their parsed forms, per-member outcomes, the
-/// WAL op-line buffer, the sorted-items buffer the apply phase uses
-/// instead of building a `Basket` per receipt, and the per-member answers
-/// the render phase formats. After a few warmup frames
-/// every buffer has reached its steady-state capacity and executing an
-/// `INGEST`-only frame allocates nothing.
+/// sorted-items buffer an apply canonicalizes into instead of building
+/// a `Basket` per receipt, and the per-member answers the render phase
+/// formats. After a few warmup frames every buffer has reached its
+/// steady-state capacity and executing an `INGEST`-only frame allocates
+/// nothing.
 #[derive(Default)]
 pub struct BatchScratch {
     /// Shared item arena; `ParsedRequest::Ingest` ranges index into it.
@@ -213,28 +229,33 @@ pub struct BatchScratch {
     parsed: Vec<Result<ParsedRequest, String>>,
     /// Outcome per member of the current top-level frame.
     pub(crate) outcomes: Vec<MemberOutcome>,
-    /// Reusable canonical op line for WAL appends.
-    op_line: String,
+    /// Whether the current top-level frame is a `BATCH` frame.
+    pub(crate) batched: bool,
     /// Reusable sorted+deduplicated items for one apply.
     apply_items: Vec<ItemId>,
     /// What each member's apply produced, rendered after the lock.
     answers: Vec<Answer>,
 }
 
-/// What applying one frame member produced: captured under the
+/// What running one frame member produced: captured under the
 /// durability lock, rendered into the reply once it is released.
 enum Answer {
-    /// `ERR <message>`: the member did not parse, or its WAL append or
-    /// commit failed.
+    /// `ERR <message>`: the member did not parse, the monitor refused
+    /// it, or its WAL append or commit failed.
     Refused(String),
     Pong,
     /// `OK <n>` and the windows an `INGEST` or `FLUSH` closed.
     Closed(Vec<WindowClosed>),
-    OutOfOrder(OutOfOrder),
     Score(CustomerId, Option<StabilityPoint>),
     Snapshot(std::io::Result<Option<PathBuf>>),
     Stats,
     Draining,
+}
+
+impl From<OutOfOrder> for Answer {
+    fn from(refused: OutOfOrder) -> Answer {
+        Answer::Refused(refused.to_string())
+    }
 }
 
 impl BatchScratch {
@@ -250,6 +271,7 @@ impl BatchScratch {
     /// outcomes in member order.
     pub fn begin_frame(&mut self) {
         self.outcomes.clear();
+        self.batched = false;
     }
 
     /// Per-member outcomes recorded since [`begin_frame`](BatchScratch::begin_frame),
@@ -323,6 +345,7 @@ impl Engine {
                 )?;
                 Some(Mutex::new(Durable {
                     wal,
+                    op_line: String::new(),
                     dir: dcfg.wal_dir.clone(),
                     storage: Arc::clone(&storage),
                     clock: Arc::clone(&clock),
@@ -355,10 +378,7 @@ impl Engine {
     /// The sequence number of the last WAL-logged request (0 when
     /// nothing was logged or durability is off).
     pub fn wal_last_seq(&self) -> u64 {
-        match &self.durable {
-            Some(durable) => lock_durable(durable).wal.last_seq(),
-            None => 0,
-        }
+        self.with_wal(0, |wal| wal.last_seq())
     }
 
     /// The WAL's durability floor (see [`Wal::synced_seq`]): the highest
@@ -367,10 +387,7 @@ impl Engine {
     ///
     /// [`Wal::synced_seq`]: crate::wal::Wal::synced_seq
     pub fn wal_synced_seq(&self) -> u64 {
-        match &self.durable {
-            Some(durable) => lock_durable(durable).wal.synced_seq(),
-            None => 0,
-        }
+        self.with_wal(0, |wal| wal.synced_seq())
     }
 
     /// Fsyncs this engine's WAL has issued (0 when durability is off).
@@ -378,33 +395,34 @@ impl Engine {
     /// shares, this counts one engine's log: the simulator reads it
     /// around a frame to prove the frame paid one group commit.
     pub fn wal_fsyncs(&self) -> u64 {
-        match &self.durable {
-            Some(durable) => lock_durable(durable).wal.fsyncs(),
-            None => 0,
-        }
+        self.with_wal(0, |wal| wal.fsyncs())
     }
 
-    /// Whether the WAL has entered its crashed state (a fault-injected
-    /// process death, or a log that could not roll back or truncate:
-    /// every further append, sync and checkpoint fails). The
-    /// deterministic simulator polls this after every frame to restart
-    /// the world; `false` when durability is off.
+    /// Whether the WAL is dead (a failed fsync, a log that could not
+    /// roll back or truncate, or a fault-injected process death: every
+    /// further append, sync and checkpoint fails, and the engine has
+    /// requested shutdown). The deterministic simulator polls this after
+    /// every frame to restart the world; `false` when durability is off.
     pub fn wal_crashed(&self) -> bool {
-        match &self.durable {
-            Some(durable) => lock_durable(durable).wal.crashed(),
-            None => false,
-        }
+        self.with_wal(false, |wal| wal.crashed())
     }
 
     /// Fsync the WAL now, regardless of sync policy (no-op when nothing
     /// is pending or durability is off). After this returns `Ok`, every
     /// appended record is durable — [`wal_synced_seq`](Engine::wal_synced_seq)
     /// equals [`wal_last_seq`](Engine::wal_last_seq). Replica promotion
-    /// calls this so the takeover LSN is a durable one.
+    /// calls this so the takeover LSN is a durable one. A failure stops
+    /// the node.
     pub fn sync_wal(&self) -> std::io::Result<()> {
+        self.with_wal(Ok(()), Wal::sync)
+            .inspect_err(|_| self.request_shutdown())
+    }
+
+    /// `f` of the WAL under the durability lock; `off` without one.
+    fn with_wal<T>(&self, off: T, f: impl FnOnce(&mut Wal) -> T) -> T {
         match &self.durable {
-            Some(durable) => lock_durable(durable).wal.sync(),
-            None => Ok(()),
+            Some(durable) => f(&mut lock_durable(durable).wal),
+            None => off,
         }
     }
 
@@ -441,45 +459,43 @@ impl Engine {
         Service::respond_batch(self, batch, scratch, out)
     }
 
-    /// Apply (when applicable) one frame member and capture what its
-    /// response needs. Mutating members reaching this point were either
-    /// logged *and* group-committed, or durability is off; a member whose
-    /// append or commit failed arrives as `Err` and leaves the monitor
-    /// untouched.
-    fn apply_member(
+    /// Run one parsed frame member, capturing what its response needs. A
+    /// mutation is checked, logged through `durable` if accepted (its
+    /// LSN lands in `seq`), and applied — unless an earlier append of the
+    /// frame `failed`, whose answer it then shares.
+    fn run_member(
         &self,
-        parse: &mut Result<ParsedRequest, String>,
-        outcome: &mut MemberOutcome,
+        request: &ParsedRequest,
+        seq: &mut u64,
+        durable: Option<&mut Durable>,
+        failed: &mut Option<String>,
         items: &[ItemId],
-        apply_items: &mut Vec<ItemId>,
+        sorted: &mut Vec<ItemId>,
     ) -> Answer {
-        let request = match parse {
-            Ok(request) => request,
-            Err(message) => return Answer::Refused(std::mem::take(message)),
-        };
+        if let (Some(message), ParsedRequest::Ingest(..) | ParsedRequest::Flush(_)) =
+            (failed.as_ref(), request)
+        {
+            return Answer::Refused(message.clone());
+        }
         match request {
             ParsedRequest::Ping => Answer::Pong,
-            ParsedRequest::Ingest(customer, date, range) => {
-                // Same canonicalization `Basket::new` performs, without
-                // the allocation: the arena slice is wire-order.
-                apply_items.clear();
-                apply_items.extend_from_slice(&items[range.clone()]);
-                apply_items.sort_unstable();
-                apply_items.dedup();
-                match self.monitor.ingest_sorted(*customer, *date, apply_items) {
-                    Ok(closed) => {
-                        outcome.applied = true;
-                        Answer::Closed(closed)
-                    }
-                    Err(out_of_order) => Answer::OutOfOrder(out_of_order),
+            ParsedRequest::Ingest(customer, ..) => {
+                // The shard stays locked from the check through the apply.
+                let mut shard = self.monitor.lock_shard(*customer);
+                let log = || Durable::log(durable, request, items, seq, failed);
+                match apply(&mut shard, request, items, sorted, log) {
+                    Ok(closed) => Answer::Closed(closed),
+                    Err(refused) => refused,
+                }
+            }
+            ParsedRequest::Flush(date) => {
+                match Durable::log(durable, request, items, seq, failed) {
+                    Ok(()) => Answer::Closed(self.monitor.flush_until(*date)),
+                    Err(refused) => refused,
                 }
             }
             ParsedRequest::Score(customer) => {
                 Answer::Score(*customer, self.monitor.preview(*customer))
-            }
-            ParsedRequest::Flush(date) => {
-                outcome.applied = true;
-                Answer::Closed(self.monitor.flush_until(*date))
             }
             ParsedRequest::Snapshot => Answer::Snapshot(self.write_snapshot()),
             ParsedRequest::Stats => Answer::Stats,
@@ -498,9 +514,6 @@ impl Engine {
             }
             Answer::Pong => out.push_str("PONG"),
             Answer::Closed(closed) => write_closed_response(out, &closed),
-            Answer::OutOfOrder(out_of_order) => {
-                let _ = write!(out, "ERR {out_of_order}");
-            }
             Answer::Score(customer, Some(point)) => format_score_into(out, customer, &point),
             Answer::Score(customer, None) => {
                 let _ = write!(out, "ERR unknown customer {}", customer.raw());
@@ -531,15 +544,19 @@ impl Engine {
 
 impl Service for Engine {
     /// Execute one frame. Parses every member into `scratch`'s shared
-    /// arena, appends the mutating members to the WAL and group-commits
-    /// them with **one** fsync (policy permitting), then applies and
-    /// answers each member in order — so no member is acked before the
-    /// whole group is as durable as the sync policy promises. The log
-    /// phase stops at the first failed append: the mutating members
-    /// after it are answered `ERR` and not logged, so a frame's records
-    /// always sit in the log contiguously, in member order — what lets a
-    /// replica apply a shipped batch as one frame and find each record
-    /// at its shipped sequence number.
+    /// arena, then runs each member once, in wire order, under the
+    /// durability lock: a mutation is checked against the live monitor,
+    /// appended to the WAL only if accepted, and applied. One group
+    /// commit then makes the frame's records durable with **one** fsync
+    /// (policy permitting), and the answers render after the lock is
+    /// released — so no member is acked before the whole group is as
+    /// durable as the sync policy promises. After a failed append the
+    /// frame's later mutations are answered `ERR`, neither logged nor
+    /// applied, so a frame's records sit in the log contiguously, in
+    /// member order — what lets a replica apply a shipped batch as one
+    /// frame and find each record at its shipped sequence number. A
+    /// failed commit answers the logged members `ERR`; after any frame
+    /// that leaves the WAL dead the engine requests shutdown (fail-stop).
     ///
     /// Appends each member's response to `out`, each followed by
     /// `'\n'`, and one [`MemberOutcome`] per member to `scratch`.
@@ -549,9 +566,9 @@ impl Service for Engine {
             items,
             parsed,
             outcomes,
-            op_line,
             apply_items,
             answers,
+            ..
         } = scratch;
         items.clear();
         parsed.clear();
@@ -559,10 +576,7 @@ impl Service for Engine {
         for i in 0..n {
             let parse = Request::parse_into(frame.line(i), items).map_err(|ParseError(m)| m);
             let verb = parse.as_ref().map_or("parse", ParsedRequest::verb);
-            outcomes.push(MemberOutcome {
-                verb,
-                ..MemberOutcome::default()
-            });
+            outcomes.push(MemberOutcome { verb, seq: 0 });
             parsed.push(parse);
         }
         let outcomes = &mut outcomes[first..];
@@ -571,64 +585,40 @@ impl Service for Engine {
             .any(|p| matches!(p, Ok(ParsedRequest::Ingest(..) | ParsedRequest::Flush(_))));
         // Frames without a mutation never wait for the durability lock.
         let mut durable = self.durable.as_ref().filter(|_| mutating).map(lock_durable);
-        let mut logged = 0u64;
-        if let Some(d) = durable.as_mut() {
-            // Log phase: append every mutating member, defer the sync.
-            let mut refused: Option<String> = None;
-            for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
-                let Ok(request) = parse else { continue };
-                op_line.clear();
-                match request {
-                    ParsedRequest::Ingest(customer, date, range) => {
-                        write_ingest_line(op_line, *customer, *date, &items[range.clone()]);
-                    }
-                    ParsedRequest::Flush(date) => write_flush_line(op_line, *date),
-                    _ => continue, // read-only: nothing to log
-                }
-                if let Some(message) = &refused {
-                    *parse = Err(message.clone());
-                    continue;
-                }
-                match d.wal.append_deferred(op_line) {
-                    Ok(seq) => {
-                        outcome.seq = seq;
-                        outcome.logged = true;
-                        logged += 1;
-                    }
-                    Err(e) => {
-                        let message = format!("wal append failed: {e}");
-                        *parse = Err(message.clone());
-                        refused = Some(message);
-                    }
-                }
-            }
-            // One group commit covering every append above.
-            if logged > 0 {
-                if let Err(e) = d.wal.commit() {
-                    for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter()) {
-                        if outcome.logged {
-                            // In the file but not durable: recovery may
-                            // replay the record, but the client sees ERR
-                            // and the live monitor must not apply it.
-                            *parse = Err(format!("wal commit failed: {e}"));
-                        }
-                    }
-                    // Nothing was applied, so nothing counts toward a
-                    // checkpoint: one cut now would cover these records
-                    // from a monitor that lacks them and truncate them
-                    // out of the log before a replica rebuilds from it.
-                    logged = 0;
-                }
-            }
-        }
-        // Apply phase, still under the lock so log order equals apply
-        // order and a checkpoint cannot cut mid-frame.
+        let mut failed: Option<String> = None;
         answers.clear();
         for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
-            answers.push(self.apply_member(parse, outcome, items, apply_items));
+            answers.push(match parse {
+                Err(message) => Answer::Refused(std::mem::take(message)),
+                Ok(request) => self.run_member(
+                    request,
+                    &mut outcome.seq,
+                    durable.as_deref_mut(),
+                    &mut failed,
+                    items,
+                    apply_items,
+                ),
+            });
         }
         if let Some(mut d) = durable {
-            d.after_logged(&self.monitor, logged);
+            let logged = outcomes.iter().filter(|o| o.seq != 0).count() as u64;
+            if logged > 0 {
+                // One group commit covering every append above.
+                match d.wal.commit() {
+                    Ok(()) => d.after_commit(&self.monitor, logged),
+                    Err(e) => {
+                        for (answer, outcome) in answers.iter_mut().zip(outcomes.iter()) {
+                            if outcome.seq != 0 {
+                                *answer = Answer::Refused(format!("wal commit failed: {e}"));
+                            }
+                        }
+                    }
+                }
+            }
+            if d.wal.crashed() {
+                // Fail-stop: drain and exit; recovery reads the file.
+                self.shutdown.store(true, Ordering::SeqCst);
+            }
         }
         // Render phase, with the lock released: the next durable write
         // does not wait for this frame's formatting.

@@ -18,7 +18,7 @@
 //!   recovery;
 //! - **fail the sync of sequence number N** — the first fsync that would
 //!   make record N durable returns an injected error, leaving the record
-//!   in the file unsynced, as a real failed fsync does.
+//!   in the file unsynced and the log dead, as a real failed fsync does.
 //!
 //! The plan lives in the production types rather than behind a `cfg`
 //! gate so integration tests (and future chaos tooling) can drive it
@@ -61,7 +61,7 @@ pub struct FaultPlan {
     pub torn_tail_bytes: u64,
     /// Fail the first fsync attempted while this sequence number is
     /// appended but not yet durable, with an injected error and nothing
-    /// synced. Fires once per WAL; a WAL reopened past this sequence
+    /// synced; the WAL dies of it. A WAL reopened past this sequence
     /// number never fires it.
     pub fail_sync_seq: Option<u64>,
     /// Seed of the stochastic schedule below (ignored when every rate

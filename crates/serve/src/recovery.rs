@@ -17,7 +17,9 @@
 //!    skipped by their sequence number — replay is idempotent, so a
 //!    crash between checkpoint rename and WAL truncation double-writes
 //!    nothing. Each op parses into one reused item arena and applies
-//!    through `ingest_sorted`: nothing is allocated per record.
+//!    through the engine's own apply: nothing is allocated per record.
+//!    The log holds only accepted mutations, so a record the monitor
+//!    refuses is corruption ([`RecoveryError::BadRecord`]), not a skip.
 //! 3. **No silent gaps.** Records above the restored LSN must continue
 //!    it without a hole, and no skipped checkpoint may cover an LSN
 //!    beyond where replay ends. Otherwise acknowledged records exist
@@ -42,7 +44,7 @@
 use crate::checkpoint::{self, CheckpointError};
 use crate::env::{RealStorage, Storage};
 use crate::protocol::{ParsedRequest, Request};
-use crate::shard::check_order;
+use crate::shard::{apply, OutOfOrder};
 use crate::wal::{self, Frames, LogEnd, WAL_FILE};
 use attrition_core::{StabilityMonitor, StabilityParams};
 use attrition_store::WindowSpec;
@@ -76,10 +78,6 @@ pub struct RecoveryStats {
     pub replayed: u64,
     /// WAL records skipped because the checkpoint already covers them.
     pub already_applied: u64,
-    /// Replayed ingests rejected as out-of-order — exactly the requests
-    /// the live server answered `ERR` to, so skipping them reproduces
-    /// the served state.
-    pub out_of_order: u64,
     /// Torn bytes truncated off the end of the WAL.
     pub torn_bytes: u64,
     /// The sequence number the reopened WAL continues from.
@@ -112,8 +110,8 @@ impl std::fmt::Display for RecoveryStats {
         }
         write!(
             f,
-            ", replayed {} wal records ({} already applied, {} out-of-order)",
-            self.replayed, self.already_applied, self.out_of_order
+            ", replayed {} wal records ({} already applied)",
+            self.replayed, self.already_applied
         )?;
         if self.corrupt_checkpoints > 0 {
             write!(
@@ -136,12 +134,12 @@ pub enum RecoveryError {
     Io(std::io::Error),
     /// No valid checkpoint exists and no [`Fallback`] grid was given.
     NoGrid,
-    /// A CRC-valid WAL record does not parse as a protocol request —
-    /// a version skew or foreign file, never something to guess around.
+    /// A CRC-valid WAL record is no protocol mutation, or the monitor
+    /// refuses it: a version skew, foreign file or corruption, not a skip.
     BadRecord {
         /// The record's sequence number.
         seq: u64,
-        /// The parse failure.
+        /// What is wrong with it.
         reason: String,
     },
     /// Records `first..=last` are in neither a readable checkpoint nor
@@ -167,7 +165,10 @@ impl std::fmt::Display for RecoveryError {
                  configured — pass the grid (e.g. --origin) for first boot"
             ),
             RecoveryError::BadRecord { seq, reason } => {
-                write!(f, "wal record {seq} is valid but unparseable: {reason}")
+                write!(
+                    f,
+                    "wal record {seq} is valid but cannot be replayed: {reason}"
+                )
             }
             RecoveryError::MissingRecords {
                 restored,
@@ -301,13 +302,13 @@ pub fn recover_in(
         salvaged_tmp,
         replayed: 0,
         already_applied: 0,
-        out_of_order: 0,
         torn_bytes: 0,
         next_seq: floor + 1,
         wal_end: 0,
         customers: 0,
     };
     let mut items: Vec<ItemId> = Vec::new();
+    let mut sorted: Vec<ItemId> = Vec::new();
     let mut frames = Frames::new(&bytes);
     for (seq, op) in frames.by_ref() {
         if seq <= floor {
@@ -324,36 +325,14 @@ pub fn recover_in(
         }
         stats.next_seq = stats.next_seq.max(seq + 1);
         items.clear();
-        let request =
-            Request::parse_into(op, &mut items).map_err(|e| RecoveryError::BadRecord {
-                seq,
-                reason: e.to_string(),
-            })?;
-        match request {
-            ParsedRequest::Ingest(customer, date, _) => {
-                // The live server's out-of-order rule: a record it
-                // answered `ERR` to must not mutate state on replay.
-                if check_order(&monitor, customer, date).is_err() {
-                    stats.out_of_order += 1;
-                    continue;
-                }
-                // `Basket::new`'s canonical form, in the reused arena.
-                items.sort_unstable();
-                items.dedup();
-                monitor.ingest_sorted(customer, date, &items);
-                stats.replayed += 1;
-            }
-            ParsedRequest::Flush(date) => {
-                monitor.flush_until(date);
-                stats.replayed += 1;
-            }
-            other => {
-                return Err(RecoveryError::BadRecord {
-                    seq,
-                    reason: format!("non-mutating verb {:?} in the log", other.verb()),
-                })
-            }
+        let bad = |reason: String| RecoveryError::BadRecord { seq, reason };
+        let request = Request::parse_into(op, &mut items).map_err(|e| bad(e.to_string()))?;
+        if !matches!(request, ParsedRequest::Ingest(..) | ParsedRequest::Flush(_)) {
+            return Err(bad(format!("{:?} is no mutation", request.verb())));
         }
+        apply(&mut monitor, &request, &items, &mut sorted, || Ok(()))
+            .map_err(|refused: OutOfOrder| bad(format!("the monitor refuses it ({refused})")))?;
+        stats.replayed += 1;
     }
     if let Some(skipped) = newest_skipped.filter(|&lsn| lsn >= stats.next_seq) {
         return Err(RecoveryError::MissingRecords {
@@ -633,6 +612,25 @@ mod tests {
             recover(&dir, Some(&fallback())),
             Err(RecoveryError::BadRecord { seq: 1, .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_the_monitor_refuses_is_corruption_named_by_its_lsn() {
+        // Record 2 backdates customer 1 to a window before the one record
+        // 1 opened: no engine logs that, so replay must not skip it.
+        let dir = temp_dir("refused");
+        let mut wal = Wal::open(&dir.join(WAL_FILE), SyncPolicy::Never, 1).unwrap();
+        wal.append("INGEST 1 2012-07-02 1").unwrap();
+        wal.append("INGEST 1 2012-05-02 2").unwrap();
+        wal.append("INGEST 2 2012-07-03 3").unwrap();
+        drop(wal);
+        let err = recover(&dir, Some(&fallback())).unwrap_err();
+        assert!(
+            matches!(&err, RecoveryError::BadRecord { seq: 2, reason } if reason.contains("out-of-order")),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("wal record 2 "), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,13 +17,14 @@
 //! ## Durability
 //!
 //! With a [`DurabilityConfig`] set, every mutating request (`INGEST`,
-//! `FLUSH`) is appended to the [write-ahead log](crate::wal) *before*
-//! it is applied and acknowledged, and the full state is periodically
-//! [checkpointed](crate::checkpoint) crash-atomically, after which the
-//! WAL is truncated. The durability lock is held across append + apply,
-//! so the log order equals the apply order and a checkpoint always cuts
-//! at an exact LSN — mutating requests serialize on that lock (reads
-//! do not), which is the honest cost of a single log file: under
+//! `FLUSH`) the monitor accepts is appended to the [write-ahead
+//! log](crate::wal) *before* it is applied and acknowledged, and the
+//! full state is periodically [checkpointed](crate::checkpoint)
+//! crash-atomically, after which the WAL is truncated. The durability
+//! lock is held across check + append + apply, so the log order equals
+//! the apply order and a checkpoint always cuts at an exact LSN —
+//! mutating requests serialize on that lock (reads do not), which is the
+//! honest cost of a single log file: under
 //! `--sync-policy always` the fsync, not the lock, dominates. A client
 //! amortizes that fsync with `BATCH` frames (DESIGN §14): all mutating
 //! members of one frame share one group-commit fsync. Every frame — a
@@ -85,6 +86,7 @@ pub trait Service: Send + Sync {
         }
         let _ = writeln!(out, "OKBATCH {}", batch.len());
         scratch.begin_frame();
+        scratch.batched = true;
         self.execute(batch, scratch, out);
         out.pop();
     }
@@ -111,14 +113,15 @@ pub trait Service: Send + Sync {
 /// run of the other members goes to `inner` as one sub-frame — one
 /// group commit — so every reply is byte-identical to sending the lines
 /// one at a time. `own` is asked member by member, so a `PROMOTE`
-/// changes what the members after it are. The members answered here
-/// are counted on `(requests, errors)`.
+/// changes what the members after it are. `answer` also gets whether
+/// the frame is a `BATCH`. The members answered here are counted on
+/// `(requests, errors)`.
 pub fn execute_split(
     frame: &dyn BatchLines,
     scratch: &mut BatchScratch,
     out: &mut String,
     own: impl Fn(&str) -> bool,
-    answer: impl Fn(&str) -> (&'static str, String),
+    answer: impl Fn(&str, bool) -> (&'static str, String),
     (requests, errors): (&AtomicU64, &AtomicU64),
     inner: impl Fn(&dyn BatchLines, &mut BatchScratch, &mut String),
 ) {
@@ -127,17 +130,14 @@ pub fn execute_split(
     while start < n {
         let line = frame.line(start);
         if own(line) {
-            let (verb, response) = answer(line);
+            let (verb, response) = answer(line, scratch.batched);
             requests.fetch_add(1, Ordering::Relaxed);
             if response.starts_with("ERR") {
                 errors.fetch_add(1, Ordering::Relaxed);
             }
             out.push_str(&response);
             out.push('\n');
-            scratch.outcomes.push(MemberOutcome {
-                verb,
-                ..MemberOutcome::default()
-            });
+            scratch.outcomes.push(MemberOutcome { verb, seq: 0 });
             start += 1;
         } else {
             let end = (start + 1..n).find(|&i| own(frame.line(i))).unwrap_or(n);

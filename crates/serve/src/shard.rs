@@ -7,10 +7,11 @@
 //! stays bit-identical to a single monitor (customer states are
 //! independent by construction; asserted by the 1-vs-8-shard test).
 
+use crate::protocol::ParsedRequest;
 use attrition_core::incremental::WindowClosed;
 use attrition_core::{StabilityMonitor, StabilityParams, StabilityPoint};
 use attrition_store::WindowSpec;
-use attrition_types::{Basket, CustomerId, Date};
+use attrition_types::{Basket, CustomerId, Date, ItemId};
 use std::sync::{Mutex, MutexGuard};
 
 /// Fibonacci-hash multiplier (2^64 / φ), spreads sequential ids.
@@ -93,25 +94,28 @@ impl ShardedMonitor {
     }
 
     /// Ingest one receipt over a sorted, deduplicated item slice (a
-    /// [`Basket`]'s canonical form, which the engine builds in a reused
-    /// scratch buffer), locking only the owning shard. Out-of-order
-    /// receipts (per customer) are rejected by [`check_order`] instead
-    /// of panicking the worker, so one misbehaving client cannot poison
-    /// a shard.
+    /// [`Basket`]'s canonical form), locking only the owning shard.
+    /// Out-of-order receipts (per customer) are rejected by
+    /// [`check_order`] instead of panicking the worker, so one
+    /// misbehaving client cannot poison a shard.
     pub fn ingest_sorted(
         &self,
         customer: CustomerId,
         date: Date,
-        items: &[attrition_types::ItemId],
+        items: &[ItemId],
     ) -> Result<Vec<WindowClosed>, OutOfOrder> {
-        let mut shard = lock(&self.shards[self.shard_of(customer)]);
+        let mut shard = self.lock_shard(customer);
         check_order(&shard, customer, date)?;
         Ok(shard.ingest_sorted(customer, date, items))
     }
 
+    pub(crate) fn lock_shard(&self, customer: CustomerId) -> MutexGuard<'_, StabilityMonitor> {
+        lock(&self.shards[self.shard_of(customer)])
+    }
+
     /// Live stability of a customer's current window.
     pub fn preview(&self, customer: CustomerId) -> Option<StabilityPoint> {
-        lock(&self.shards[self.shard_of(customer)]).preview(customer)
+        self.lock_shard(customer).preview(customer)
     }
 
     /// Close every customer's windows up to (excluding) the window
@@ -170,13 +174,40 @@ fn shard_of(customer: CustomerId, n_shards: usize) -> usize {
     (customer.raw().wrapping_mul(HASH) >> 32) as usize % n_shards
 }
 
+/// Apply one parsed `INGEST` or `FLUSH` (anything else panics) to one
+/// monitor — the engine's live path and recovery's replay both, so live
+/// and recovered state are one function of the log. An `INGEST` is
+/// checked by [`check_order`] and its items (its `items` range, wire
+/// order) canonicalized into `sorted`, as `Basket::new` would; then
+/// `log` runs (the engine appends the record there) and, if it
+/// succeeds, the mutation is applied.
+pub(crate) fn apply<E: From<OutOfOrder>>(
+    monitor: &mut StabilityMonitor,
+    request: &ParsedRequest,
+    items: &[ItemId],
+    sorted: &mut Vec<ItemId>,
+    log: impl FnOnce() -> Result<(), E>,
+) -> Result<Vec<WindowClosed>, E> {
+    match request {
+        ParsedRequest::Ingest(customer, date, range) => {
+            check_order(monitor, *customer, *date)?;
+            sorted.clear();
+            sorted.extend_from_slice(&items[range.clone()]);
+            sorted.sort_unstable();
+            sorted.dedup();
+            log()?;
+            Ok(monitor.ingest_sorted(*customer, *date, sorted))
+        }
+        ParsedRequest::Flush(date) => log().map(|()| monitor.flush_until(*date)),
+        other => panic!("{} is not a mutation", other.verb()),
+    }
+}
+
 /// The out-of-order rule: a receipt whose window precedes the
-/// customer's current window is rejected. The live ingest path and
-/// recovery's replay both call this one function, so a record the
-/// server answered `ERR` to is skipped on replay by the same rule. Uses
-/// the cheap [`StabilityMonitor::current_window`] accessor — a full
-/// `preview()` clones pending items and computes significance, which is
-/// pure waste on every in-order receipt.
+/// customer's current window is rejected (and, by the engine, never
+/// logged). Uses the cheap [`StabilityMonitor::current_window`]
+/// accessor — a full `preview()` clones pending items and computes
+/// significance, which is pure waste on every in-order receipt.
 pub(crate) fn check_order(
     monitor: &StabilityMonitor,
     customer: CustomerId,

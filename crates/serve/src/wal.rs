@@ -1,8 +1,8 @@
 //! The write-ahead log: length+CRC32-framed records, written in place
 //! into preallocated space, with a configurable sync.
 //!
-//! Every mutating request (`INGEST`, `FLUSH`) is appended here *before*
-//! it is applied to the monitors and acknowledged, so an acked request
+//! Every mutation the monitors accept (`INGEST`, `FLUSH`) is appended
+//! here *before* it is applied and acknowledged, so an acked request
 //! survives a crash (to the extent the [`SyncPolicy`] promises — see
 //! DESIGN §10 for the exact contract per policy).
 //!
@@ -54,7 +54,7 @@
 
 use crate::env::{RealStorage, SplitMix64, Storage};
 use crate::faults::{injected_error, FaultPlan};
-use attrition_obs::{Counter, Histogram};
+use attrition_obs::{Counter, Gauge, Histogram};
 use attrition_util::crc::crc32;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -132,16 +132,9 @@ pub struct WalRecord {
     pub op: String,
 }
 
-/// Encode one frame (header + payload) ready to write.
-pub fn encode_record(seq: u64, op: &str) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER + SEQ_BYTES + op.len());
-    encode_record_into(&mut frame, seq, op);
-    frame
-}
-
-/// [`encode_record`] into a reusable buffer (cleared first) — the WAL's
-/// steady-state encoder, so appending does not allocate a frame per
-/// record.
+/// Encode one frame (header + payload) into a reusable buffer (cleared
+/// first) — the WAL's steady-state encoder, so appending does not
+/// allocate a frame per record.
 pub fn encode_record_into(frame: &mut Vec<u8>, seq: u64, op: &str) {
     frame.clear();
     let payload_len = SEQ_BYTES + op.len();
@@ -314,6 +307,7 @@ struct WalMetrics {
     group_commits: Arc<Counter>,
     extends: Arc<Counter>,
     errors: Arc<Counter>,
+    poisoned: Arc<Gauge>,
     sync_us: Arc<Histogram>,
 }
 
@@ -326,6 +320,7 @@ impl WalMetrics {
             group_commits: registry.counter("serve.wal.group_commits"),
             extends: registry.counter("serve.wal.extends"),
             errors: registry.counter("serve.wal.errors"),
+            poisoned: registry.gauge("serve.wal.poisoned"),
             sync_us: registry.histogram_with("serve.wal.sync_us", &SYNC_US_BUCKETS),
         }
     }
@@ -346,11 +341,11 @@ pub struct Wal {
     fsyncs: u64,
     unsynced: u64,
     attempts: u64,
-    /// Whether the one-shot `fail_sync_seq` fault has fired.
-    sync_fault_fired: bool,
     faults: FaultPlan,
     fault_rng: SplitMix64,
-    crashed: bool,
+    /// Why the log died, once it has (see [`crashed`](Wal::crashed)):
+    /// every later append, sync and truncation fails naming it.
+    dead: Option<String>,
     /// Reusable frame encode buffer (see [`encode_record_into`]); it
     /// also carries a fresh extent's zeros when a frame extends the file.
     frame: Vec<u8>,
@@ -365,7 +360,7 @@ impl std::fmt::Debug for Wal {
             .field("next_seq", &self.next_seq)
             .field("len", &self.len)
             .field("alloc", &self.alloc)
-            .field("crashed", &self.crashed)
+            .field("dead", &self.dead)
             .finish_non_exhaustive()
     }
 }
@@ -422,6 +417,8 @@ impl Wal {
         // Decorrelate the stochastic fault stream per incarnation so a
         // restarted WAL does not replay its predecessor's faults.
         let fault_rng = SplitMix64::new(faults.seed ^ end.next_seq.wrapping_mul(0x9E37_79B9));
+        let metrics = WalMetrics::lookup();
+        metrics.poisoned.set(0);
         Ok(Wal {
             storage,
             path: path.to_owned(),
@@ -433,12 +430,11 @@ impl Wal {
             fsyncs: 0,
             unsynced: 0,
             attempts: 0,
-            sync_fault_fired: false,
             faults,
             fault_rng,
-            crashed: false,
+            dead: None,
             frame: Vec::new(),
-            metrics: WalMetrics::lookup(),
+            metrics,
         })
     }
 
@@ -447,9 +443,9 @@ impl Wal {
     /// this returns — the caller may ack. An error means nothing was
     /// acked and nothing must be applied: a partially-written frame
     /// (torn write) is rolled back by cutting the file back to the log's
-    /// end, and a log that cannot even roll back poisons itself rather
-    /// than writing unreachable records after garbage. A failed sync
-    /// leaves the record in the file.
+    /// end, and a log that cannot even roll back dies rather than
+    /// writing unreachable records after garbage. A failed sync leaves
+    /// the record in the file and the log dead.
     pub fn append(&mut self, op: &str) -> std::io::Result<u64> {
         let seq = self.append_deferred(op)?;
         self.commit()?;
@@ -469,9 +465,7 @@ impl Wal {
     /// Write one frame at the log's end with fault injection and
     /// rollback, no syncing.
     fn append_raw(&mut self, op: &str) -> std::io::Result<u64> {
-        if self.crashed {
-            return Err(injected_error("wal crashed"));
-        }
+        self.alive()?;
         self.attempts += 1;
         if self.faults.fail_append == Some(self.attempts) {
             return Err(injected_error("scheduled append failure"));
@@ -508,10 +502,10 @@ impl Wal {
             // file back to the log's end (the extent goes too; the next
             // append writes a fresh one). If even that fails the bytes
             // past the end are garbage and every later frame would be
-            // unreachable at recovery — poison the log instead.
+            // unreachable at recovery — the log dies instead.
             match self.storage.set_len(&self.path, self.len) {
                 Ok(_) => self.alloc = self.len,
-                Err(_) => self.crashed = true,
+                Err(rollback) => drop(self.die("append rollback failed", rollback)),
             }
             return Err(e);
         }
@@ -534,8 +528,8 @@ impl Wal {
     /// `n` or more records are pending, so the at-most-`n−1`-unsynced
     /// ack contract holds at every batch boundary (no acks are written
     /// mid-group); under `never` it is a no-op. An error means none of
-    /// the group's records may be acked — they stay in the file and
-    /// recovery will replay them, but the clients must see `ERR`.
+    /// the group's records may be acked and the log is dead; recovery
+    /// decides whether the records in the file survived.
     ///
     /// A scheduled `crash_after_appends` fault fires here, after the
     /// group's sync: the group that reached the count is acked, then the
@@ -548,20 +542,17 @@ impl Wal {
             .crash_after_appends
             .is_some_and(|n| self.appends >= n)
         {
-            self.crash();
+            self.crash(injected_error("crash after the scheduled append"));
         }
         Ok(())
     }
 
     fn commit_group(&mut self) -> std::io::Result<()> {
-        if self.crashed {
-            return Err(injected_error("wal crashed"));
-        }
+        self.alive()?;
         if self.unsynced > 0 && self.faults.crash_mid_commit(&mut self.fault_rng) {
             // Process death between the group's appends and its fsync —
             // exactly the window where acked-nothing but appended-all.
-            self.crash();
-            return Err(injected_error("crash mid-commit"));
+            return Err(self.crash(injected_error("crash mid-commit")));
         }
         let due = match self.policy {
             SyncPolicy::Never => false,
@@ -577,24 +568,27 @@ impl Wal {
 
     /// Fsync the log (no-op when nothing is pending). Its duration is
     /// recorded in `serve.wal.sync_us` while metrics are enabled.
+    ///
+    /// A failed fsync is never retried: the kernel may already have
+    /// dropped the dirty pages, so a later success proves nothing
+    /// (Rebello et al., USENIX ATC 2020). The log dies instead.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        if self.crashed {
-            return Err(injected_error("wal crashed"));
-        }
+        self.alive()?;
         if self.unsynced == 0 {
             return Ok(());
         }
-        if !self.sync_fault_fired
-            && self
-                .faults
-                .fail_sync_seq
-                .is_some_and(|seq| self.synced_seq() < seq && seq < self.next_seq)
-        {
-            self.sync_fault_fired = true;
-            return Err(injected_error("scheduled sync failure"));
-        }
         let started = attrition_obs::enabled().then(Instant::now);
-        self.storage.sync(&self.path)?;
+        // The scheduled fault: the first sync while that record is pending.
+        let synced = if self
+            .faults
+            .fail_sync_seq
+            .is_some_and(|seq| self.synced_seq() < seq && seq < self.next_seq)
+        {
+            Err(injected_error("scheduled sync failure"))
+        } else {
+            self.storage.sync(&self.path)
+        };
+        synced.map_err(|e| self.die("fsync failed", e))?;
         if let Some(started) = started {
             self.metrics
                 .sync_us
@@ -608,20 +602,18 @@ impl Wal {
 
     /// Drop every record (after a checkpoint made them redundant). The
     /// sequence counter keeps running — LSNs never restart — and the
-    /// next append zero-fills a fresh extent.
+    /// next append zero-fills a fresh extent. A failure leaves the log
+    /// dead: where its zeros start is unknown.
     pub fn truncate(&mut self) -> std::io::Result<()> {
-        if self.crashed {
-            return Err(injected_error("wal crashed"));
-        }
-        if let Err(e) = self.storage.set_len(&self.path, 0) {
-            // The file may or may not have been cut, so where its zeros
-            // start is unknown: poison rather than write behind garbage.
-            self.crashed = true;
-            return Err(e);
-        }
+        self.alive()?;
+        self.storage
+            .set_len(&self.path, 0)
+            .map_err(|e| self.die("truncate failed", e))?;
         self.len = 0;
         self.alloc = 0;
-        self.storage.sync(&self.path)?;
+        self.storage
+            .sync(&self.path)
+            .map_err(|e| self.die("fsync failed", e))?;
         self.unsynced = 0;
         Ok(())
     }
@@ -660,9 +652,27 @@ impl Wal {
         self.fsyncs
     }
 
-    /// Whether a scheduled crash fault has fired.
+    /// Whether the log is dead: an fsync, rollback or truncation failed,
+    /// or an injected crash fired. Only a restart continues from it.
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.dead.is_some()
+    }
+
+    /// `Ok` while the log serves; otherwise the error naming why it died.
+    fn alive(&self) -> std::io::Result<()> {
+        match &self.dead {
+            None => Ok(()),
+            Some(cause) => Err(std::io::Error::other(format!("wal is dead: {cause}"))),
+        }
+    }
+
+    /// Die of `what` failing with `e` (keeping the first cause); `e`.
+    fn die(&mut self, what: &str, e: std::io::Error) -> std::io::Error {
+        if self.dead.is_none() {
+            self.dead = Some(format!("{what}: {e}"));
+            self.metrics.poisoned.set(1);
+        }
+        e
     }
 
     /// Where the log lives.
@@ -670,14 +680,14 @@ impl Wal {
         &self.path
     }
 
-    /// Simulate process death: optionally tear the log's last frame,
-    /// then refuse every further operation. Fault-injection only.
-    fn crash(&mut self) {
+    /// Simulate process death from `e`: optionally tear the log's last
+    /// frame, then refuse every further operation. Fault-injection only.
+    fn crash(&mut self, e: std::io::Error) -> std::io::Error {
         if self.faults.torn_tail_bytes > 0 {
             let keep = self.len.saturating_sub(self.faults.torn_tail_bytes);
             let _ = self.storage.set_len(&self.path, keep);
         }
-        self.crashed = true;
+        self.die("process death", e)
     }
 }
 
@@ -689,6 +699,12 @@ mod tests {
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("attrition_wal_{tag}_{}", std::process::id()))
+    }
+
+    fn encode_record(seq: u64, op: &str) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_record_into(&mut frame, seq, op);
+        frame
     }
 
     fn random_op(rng: &mut Rng) -> String {
@@ -1089,18 +1105,29 @@ mod tests {
         assert_eq!(wal.append("INGEST 1 2012-05-02").unwrap(), 1);
         let err = wal.append("INGEST 2 2012-05-02").unwrap_err();
         assert!(err.to_string().contains("sync failure"), "{err}");
-        // The record is in the file and the log is not poisoned.
+        // The record is in the file, never durable, and the log is dead:
+        // a failed fsync is not retried.
         assert_eq!((wal.last_seq(), wal.synced_seq()), (2, 1));
-        assert!(!wal.crashed());
-        assert_eq!(wal.append("INGEST 3 2012-05-02").unwrap(), 3);
-        assert_eq!(wal.synced_seq(), 3, "the next sync covered record 2 too");
+        assert!(wal.crashed());
+        // Every later call fails naming the first cause.
+        for err in [
+            wal.append("INGEST 3 2012-05-02").unwrap_err(),
+            wal.sync().unwrap_err(),
+            wal.truncate().unwrap_err(),
+        ] {
+            let text = err.to_string();
+            assert!(text.starts_with("wal is dead: fsync failed: "), "{text}");
+            assert!(text.contains("scheduled sync failure"), "{text}");
+        }
+        assert_eq!(wal.last_seq(), 2, "nothing was appended after the death");
         drop(wal);
-        assert_eq!(read_records(&path).unwrap().records.len(), 3);
+        assert_eq!(read_records(&path).unwrap().records.len(), 2);
         // A WAL reopened past the sequence number never fires it.
         let mut wal =
-            Wal::open_with_faults(&path, SyncPolicy::Always, 4, FaultPlan::fail_sync_seq(2))
+            Wal::open_with_faults(&path, SyncPolicy::Always, 3, FaultPlan::fail_sync_seq(2))
                 .unwrap();
-        assert_eq!(wal.append("INGEST 4 2012-05-02").unwrap(), 4);
+        assert_eq!(wal.append("INGEST 3 2012-05-02").unwrap(), 3);
+        assert_eq!(wal.synced_seq(), 3);
         let _ = std::fs::remove_file(&path);
     }
 

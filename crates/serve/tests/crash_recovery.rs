@@ -594,3 +594,62 @@ fn acked_records_only_in_a_corrupt_checkpoint_fail_recovery() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A failed fsync is not retried: it kills the WAL and stops the
+/// engine, so live state stays the fold of the log. Record 2's sync
+/// fails; its member is answered `ERR` but was applied, record 3 is
+/// refused by the dead log, and the live `SCORE` is what recovering the
+/// directory answers.
+#[test]
+fn a_failed_fsync_stops_the_engine_with_live_state_equal_to_the_log() {
+    use attrition_serve::{Engine, Service};
+
+    let dir = temp_dir("failsync");
+    let spec = WindowSpec::months(Date::from_ymd(2012, 5, 1).unwrap(), 1);
+    let mut dcfg = DurabilityConfig::new(dir.clone());
+    dcfg.fault_plan = Some(FaultPlan::fail_sync_seq(2));
+    let engine = Engine::open(
+        ShardedMonitor::new(4, spec, StabilityParams::PAPER, 5),
+        None,
+        Some(&dcfg),
+        1,
+    )
+    .expect("engine opens");
+    let replies: Vec<String> = [
+        "INGEST 1 2012-05-02 1",
+        "INGEST 1 2012-06-02 2",
+        "INGEST 1 2012-07-02 3",
+    ]
+    .iter()
+    .map(|line| engine.respond(line).1)
+    .collect();
+    assert!(replies[0].starts_with("OK "), "{replies:?}");
+    assert_eq!(
+        replies[1],
+        "ERR wal commit failed: injected fault: scheduled sync failure"
+    );
+    assert_eq!(
+        replies[2],
+        "ERR wal append failed: wal is dead: fsync failed: injected fault: scheduled sync failure"
+    );
+    assert!(engine.shutdown_requested(), "a dead wal stops the node");
+    assert_eq!(engine.wal_last_seq(), 2);
+    let live_score = engine.respond("SCORE 1").1;
+    let live = engine.monitor().snapshot_bytes();
+    let report = engine.shutdown_flush();
+    assert!(
+        report
+            .checkpoint_error
+            .is_some_and(|e| e.contains("scheduled sync failure")),
+        "the shutdown error names the first failure"
+    );
+    drop(engine);
+
+    let (recovered, stats) = recover(&dir, Some(&fallback(spec))).expect("recovery succeeds");
+    assert_eq!(stats.replayed, 2);
+    assert_eq!(recovered.snapshot_bytes(), live, "live == recovered");
+    let restarted = Engine::open(ShardedMonitor::from_monitor(recovered, 2), None, None, 1)
+        .expect("engine opens");
+    assert_eq!(restarted.respond("SCORE 1").1, live_score);
+    let _ = std::fs::remove_dir_all(&dir);
+}

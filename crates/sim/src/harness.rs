@@ -33,17 +33,21 @@
 //!    bit-identical (binary snapshot equality) to a reference
 //!    [`StabilityMonitor`] folded over exactly the surviving WAL prefix
 //!    — so no un-logged (and in particular no never-acknowledged,
-//!    never-executed) record is ever visible, and replay reproduces the
-//!    out-of-order rejections the live server made.
+//!    never-executed) record is ever visible. The log holds only
+//!    mutations the monitor accepted, so the fold refuses none.
 //! 3. **Snapshot round trip.** Encoding the recovered state as a
 //!    binary snapshot and restoring it again yields the identical
 //!    bytes.
 //!
-//! Between crashes, every `SCORE` response is compared bit-for-bit
-//! against a live reference monitor fed the applied mutations, and
-//! under `sync=always` every frame must pay exactly one fsync when it
-//! commits anything and none otherwise (read from the engine's own
-//! counter, [`Engine::wal_fsyncs`]).
+//! Before every crash, the live monitor must be bit-identical to the
+//! fold of every record the node logged — acked or not, committed or
+//! not (R4's live leg; invariant 2 is its recovered leg): live and
+//! recovered state are one function of the log. Between crashes, every
+//! `SCORE` response is compared bit-for-bit against that fold, kept
+//! incrementally as the live reference, and under `sync=always` every
+//! frame must pay exactly one fsync when it commits anything and none
+//! otherwise (read from the engine's own counter,
+//! [`Engine::wal_fsyncs`]).
 
 use crate::env::{SimClock, SimStorage};
 use attrition_core::{StabilityMonitor, StabilityParams};
@@ -101,11 +105,11 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The sweep configuration for one seed: moderate fault rates
-    /// everywhere, sync policy alternating by seed parity (`Always` on
-    /// even seeds — where acked-survival is asserted — `Interval(3)` on
-    /// odd ones, where only the sync floor is). Everything is a pure
-    /// function of the seed — the repro command re-derives the same
-    /// world.
+    /// everywhere ([`seeded_faults`]), sync policy alternating by seed
+    /// parity (`Always` on even seeds — where acked-survival is asserted
+    /// — `Interval(3)` on odd ones, where only the sync floor is).
+    /// Everything is a pure function of the seed — the repro command
+    /// re-derives the same world.
     pub fn for_seed(seed: u64) -> SimConfig {
         SimConfig {
             seed,
@@ -117,7 +121,7 @@ impl SimConfig {
             } else {
                 SyncPolicy::Interval(3)
             },
-            faults: FaultPlan::seeded(seed),
+            faults: seeded_faults(seed),
             checkpoint_every_requests: 24,
             checkpoint_every: Some(Duration::from_secs(2)),
             bug: None,
@@ -198,6 +202,18 @@ pub fn repro_command(seed: u64) -> String {
     )
 }
 
+/// The sweeps' fault plan for one seed: [`FaultPlan::seeded`], plus one
+/// failed fsync on half the seeds (bit 1, so both sync-policy parities
+/// get it) at an LSN early in the run. A failed fsync kills the WAL, so
+/// the world crash-restarts there — and again after each restart that
+/// lost the record, until a reopened WAL syncs past it.
+pub fn seeded_faults(seed: u64) -> FaultPlan {
+    FaultPlan {
+        fail_sync_seq: (seed & 2 == 0).then_some(5 + seed % 40),
+        ..FaultPlan::seeded(seed)
+    }
+}
+
 const ORIGIN: (i32, u32, u32) = (2012, 5, 1);
 pub(crate) const MAX_EXPLANATIONS: usize = 5;
 /// Ops per simulated month of workload time.
@@ -217,15 +233,15 @@ pub(crate) fn spec() -> WindowSpec {
 pub(crate) struct OpEntry {
     pub(crate) seq: u64,
     pub(crate) line: String,
+    /// The client received its `OK` (a logged member whose group commit
+    /// failed was answered `ERR`).
     pub(crate) acked: bool,
-    /// The response was `OK …` (not an out-of-order or injected-fault
-    /// `ERR`), i.e. the op mutated the live state.
-    pub(crate) applied: bool,
 }
 
 /// The client-side books both worlds keep about the node they write
-/// to: every logged mutation by LSN, a live reference monitor fed the
-/// applied ones in delivery order, and the counters the reports carry.
+/// to: every logged mutation by LSN, a live reference monitor — the
+/// fold of every one of them, in log order — and the counters the
+/// reports carry.
 pub(crate) struct Ledger {
     pub(crate) oplog: Vec<OpEntry>,
     pub(crate) mirror: StabilityMonitor,
@@ -251,17 +267,18 @@ impl Ledger {
 
     /// Account for one executed frame member by member, using the
     /// node's own [`MemberOutcome`] attribution (cross-checked against
-    /// the response text): WAL sequence numbers, ack/applied tracking,
-    /// the live mirror, `SCORE` bit-identity. `fsyncs` is what the frame
-    /// cost the node's WAL under `sync=always` (`None` under other
-    /// policies): exactly one group commit when any member committed,
-    /// none otherwise. The first violation is returned.
+    /// the response text): WAL sequence numbers, acks, the live
+    /// reference, `SCORE` bit-identity. `delivered` says whether the
+    /// responses reached the client. `fsyncs` is what the frame cost the
+    /// node's WAL under `sync=always` (`None` under other policies):
+    /// exactly one group commit when any member committed, none
+    /// otherwise. The first violation is returned.
     pub(crate) fn account(
         &mut self,
         frame: &[String],
         out: &str,
         outcomes: &[MemberOutcome],
-        acked: bool,
+        delivered: bool,
         fsyncs: Option<u64>,
     ) -> Result<(), String> {
         self.invariant_checks += 1;
@@ -275,36 +292,38 @@ impl Ledger {
         let mut committed = false;
         for ((line, response), outcome) in frame.iter().zip(member_responses(out)).zip(outcomes) {
             self.ops += 1;
-            if acked {
+            if delivered {
                 self.acked += 1;
             }
             match Request::parse(line) {
                 Ok(Request::Ingest(..)) | Ok(Request::Flush(_)) => {
                     self.invariant_checks += 1;
-                    if outcome.applied != response.starts_with("OK") {
+                    let ok = response.starts_with("OK");
+                    if outcome.seq == 0 {
+                        if ok {
+                            return Err(format!(
+                                "mutation answered without a wal record: {line:?} -> {response:?}"
+                            ));
+                        }
+                        continue;
+                    }
+                    // Logged, so applied: answered `OK`, or `ERR` by a
+                    // failed group commit — never refused.
+                    if !ok && !response.starts_with(WAL_FAILURE) {
                         return Err(format!(
-                            "member outcome disagrees with its response: applied={} but \
-                             response {response:?} for {line:?}",
-                            outcome.applied
+                            "a logged mutation was refused: seq {} {line:?} -> {response:?}",
+                            outcome.seq
                         ));
                     }
-                    if outcome.logged {
-                        committed |= !response.starts_with(WAL_FAILURE);
-                        self.wal_records += 1;
-                        self.oplog.push(OpEntry {
-                            seq: outcome.seq,
-                            line: line.clone(),
-                            acked,
-                            applied: outcome.applied,
-                        });
-                    } else if outcome.applied {
-                        return Err(format!(
-                            "mutation applied without a wal record: {line:?} -> {response:?}"
-                        ));
-                    }
-                    if outcome.applied {
-                        apply_accepted(&mut self.mirror, line);
-                    }
+                    committed |= ok;
+                    self.wal_records += 1;
+                    self.oplog.push(OpEntry {
+                        seq: outcome.seq,
+                        line: line.clone(),
+                        acked: delivered && ok,
+                    });
+                    fold_step(&mut self.mirror, line)
+                        .map_err(|e| format!("seq {}: {e}", outcome.seq))?;
                 }
                 Ok(Request::Score(customer)) => {
                     self.score_checks += 1;
@@ -338,15 +357,49 @@ impl Ledger {
 
     /// Fold the logged prefix (`seq <= floor`) into a fresh monitor —
     /// what a node recovered or replicated to `floor` must equal
-    /// bit-for-bit.
-    pub(crate) fn fold(&self, floor: u64) -> StabilityMonitor {
+    /// bit-for-bit. Errs if the log holds a record the fold refuses.
+    pub(crate) fn fold(&self, floor: u64) -> Result<StabilityMonitor, String> {
         let mut monitor = fresh_monitor();
-        for entry in &self.oplog {
-            if entry.seq <= floor {
-                apply_replayed(&mut monitor, &entry.line);
-            }
+        self.fold_into(&mut monitor, 0, floor)?;
+        Ok(monitor)
+    }
+
+    /// Fold the logged records `after < seq <= upto` into `monitor`, in
+    /// log order.
+    pub(crate) fn fold_into(
+        &self,
+        monitor: &mut StabilityMonitor,
+        after: u64,
+        upto: u64,
+    ) -> Result<(), String> {
+        self.oplog
+            .iter()
+            .filter(|e| after < e.seq && e.seq <= upto)
+            .try_for_each(|e| {
+                fold_step(monitor, &e.line).map_err(|m| format!("seq {}: {m}", e.seq))
+            })
+    }
+
+    /// The live leg of R4, checked before a node crashes: its live
+    /// monitor must be bit-identical to the fold of every record it
+    /// logged up to `floor`, committed or not.
+    pub(crate) fn check_live(&mut self, node: &str, live: &[u8], floor: u64) -> Result<(), String> {
+        self.invariant_checks += 1;
+        if live != self.fold(floor)?.snapshot_bytes() {
+            let logged: Vec<u64> = self
+                .oplog
+                .iter()
+                .map(|e| e.seq)
+                .filter(|&s| s <= floor)
+                .collect();
+            return Err(format!(
+                "R4 violated: {node}'s live state diverged from the fold of the {} records \
+                 it logged (last seq {})",
+                logged.len(),
+                logged.last().unwrap_or(&0)
+            ));
         }
-        monitor
+        Ok(())
     }
 }
 
@@ -453,32 +506,24 @@ pub(crate) fn fresh_monitor() -> StabilityMonitor {
     StabilityMonitor::new(spec(), StabilityParams::PAPER).with_max_explanations(MAX_EXPLANATIONS)
 }
 
-/// Apply one logged op the way `recovery.rs` replays it: mirror the
-/// live out-of-order rejection, so a record the server answered `ERR`
-/// to mutates nothing here either.
-pub(crate) fn apply_replayed(monitor: &mut StabilityMonitor, line: &str) {
+/// One step of the reference fold: apply one logged op to `monitor`,
+/// in the monitor's own `ingest` shape — independent of the engine's
+/// apply path. The engine logs only mutations its monitor accepts, so a
+/// record this monitor refuses is an error, never a skip.
+pub(crate) fn fold_step(monitor: &mut StabilityMonitor, line: &str) -> Result<(), String> {
     match Request::parse(line).expect("the harness only logs valid mutations") {
         Request::Ingest(customer, date, items) => {
-            let rejected = match (monitor.spec().window_of(date), monitor.preview(customer)) {
-                (Some(window), Some(preview)) => window.raw() < preview.window.raw(),
-                _ => false,
-            };
-            if !rejected {
-                monitor.ingest(customer, date, &Basket::new(items));
+            if let (Some(window), Some(preview)) =
+                (monitor.spec().window_of(date), monitor.preview(customer))
+            {
+                if window.raw() < preview.window.raw() {
+                    return Err(format!(
+                        "the log holds a record the monitor refuses: {line:?} is before \
+                         window {}",
+                        preview.window.raw()
+                    ));
+                }
             }
-        }
-        Request::Flush(date) => {
-            monitor.flush_until(date);
-        }
-        other => panic!("non-mutating {other:?} in the op log"),
-    }
-}
-
-/// Apply an op the engine *accepted* (answered `OK`) to the live mirror
-/// — no rejection logic needed, the engine already decided.
-pub(crate) fn apply_accepted(monitor: &mut StabilityMonitor, line: &str) {
-    match Request::parse(line).expect("the harness only logs valid mutations") {
-        Request::Ingest(customer, date, items) => {
             monitor.ingest(customer, date, &Basket::new(items));
         }
         Request::Flush(date) => {
@@ -486,6 +531,7 @@ pub(crate) fn apply_accepted(monitor: &mut StabilityMonitor, line: &str) {
         }
         other => panic!("non-mutating {other:?} in the op log"),
     }
+    Ok(())
 }
 
 impl Sim {
@@ -551,7 +597,7 @@ impl Sim {
         let commit_failed = outcomes
             .iter()
             .zip(member_responses(&out))
-            .any(|(outcome, response)| outcome.logged && response.starts_with(WAL_FAILURE));
+            .any(|(outcome, response)| outcome.seq != 0 && response.starts_with(WAL_FAILURE));
         commit_failed
     }
 
@@ -559,6 +605,15 @@ impl Sim {
     /// disk, run the real recovery, check the invariants, and bring a
     /// new engine up on the recovered state.
     fn restart(&mut self, clean: bool) {
+        // R4's live leg, before anything else touches the state.
+        if let Err(violation) = self.ledger.check_live(
+            "the node",
+            &self.engine.monitor().snapshot_bytes(),
+            u64::MAX,
+        ) {
+            self.violation(violation);
+            return;
+        }
         // Captured *before* the crash: the floor the sync policy
         // guarantees, and (after a clean shutdown) everything.
         if clean {
@@ -600,16 +655,11 @@ impl Sim {
             ));
             return;
         }
-        // Invariant 1b: under `always`, every acknowledged applied
-        // mutation is durable by contract, so it must have survived.
+        // Invariant 1b: under `always`, every acknowledged mutation is
+        // durable by contract, so it must have survived.
         if self.config.sync_policy == SyncPolicy::Always {
             self.ledger.invariant_checks += 1;
-            if let Some(lost) = self
-                .ledger
-                .oplog
-                .iter()
-                .find(|e| e.acked && e.applied && e.seq > floor)
-            {
+            if let Some(lost) = self.ledger.oplog.iter().find(|e| e.acked && e.seq > floor) {
                 self.violation(format!(
                     "acked mutation lost under sync=always: seq {} {:?} (recovery reached {floor})",
                     lost.seq, lost.line
@@ -619,10 +669,15 @@ impl Sim {
         }
         // Invariant 2: the recovered state is bit-identical to the fold
         // of exactly the surviving prefix — no un-logged (in particular
-        // no never-executed) record visible, out-of-order rejections
-        // reproduced.
+        // no never-executed) record visible.
         self.ledger.invariant_checks += 1;
-        let reference = self.ledger.fold(floor);
+        let reference = match self.ledger.fold(floor) {
+            Ok(reference) => reference,
+            Err(e) => {
+                self.violation(e);
+                return;
+            }
+        };
         let recovered = monitor.snapshot_bytes();
         if reference.snapshot_bytes() != recovered {
             self.violation(format!(

@@ -26,6 +26,12 @@
 //!   reference monitor folded over exactly the primary's logged ops up
 //!   to the replica's applied LSN (compared as binary snapshots).
 //!
+//! - **R4 — live == recovered == replica.** Before any node crashes,
+//!   its live monitor must be byte-identical to the fold of every record
+//!   it logged, committed or not (the live leg; R2 and the single-node
+//!   invariant 2 are the replica and recovered legs). A failed fsync
+//!   kills the node's WAL, so it is crash-restarted right there.
+//!
 //! Alongside those, the single-node invariants keep running on both
 //! nodes (durability floor on every recovery, acked-survival under
 //! `sync=always`, `SCORE` bit-identity against the reference, one fsync
@@ -60,7 +66,7 @@
 
 use crate::env::{SimClock, SimStorage};
 use crate::harness::{
-    apply_replayed, execute_frame, fresh_monitor, script_frames, scripted_op, spec, Ledger,
+    execute_frame, fresh_monitor, script_frames, scripted_op, seeded_faults, spec, Ledger,
     MAX_EXPLANATIONS, OPS_PER_MONTH,
 };
 use crate::net::SimNet;
@@ -143,9 +149,10 @@ pub struct ReplSimConfig {
 }
 
 impl ReplSimConfig {
-    /// The sweep configuration for one seed: every fault class on, sync
-    /// policies alternating across seed bits so the sweep covers each
-    /// combination, and a small batch size on some seeds to force
+    /// The sweep configuration for one seed: every fault class on
+    /// ([`seeded_faults`]: both nodes fail one fsync on half the seeds),
+    /// sync policies alternating across seed bits so the sweep covers
+    /// each combination, and a small batch size on some seeds to force
     /// multi-round catch-ups.
     pub fn for_seed(seed: u64) -> ReplSimConfig {
         ReplSimConfig {
@@ -163,7 +170,7 @@ impl ReplSimConfig {
             } else {
                 SyncPolicy::Interval(2)
             },
-            faults: FaultPlan::seeded(seed),
+            faults: seeded_faults(seed),
             checkpoint_every_requests: 24,
             partition_per_mille: 12,
             batch_max: if (seed >> 3).is_multiple_of(2) { 64 } else { 5 },
@@ -197,7 +204,7 @@ impl ReplSimConfig {
         ReplSimConfig {
             faults: FaultPlan {
                 delay_per_mille: 250,
-                ..FaultPlan::seeded(seed)
+                ..seeded_faults(seed)
             },
             bug: Some(bug),
             ..base
@@ -528,6 +535,23 @@ impl ReplSim {
         self.violations.push(message);
     }
 
+    /// [`Ledger::fold`], a refused record recorded as a violation.
+    fn fold(&mut self, floor: u64) -> Option<StabilityMonitor> {
+        self.ledger
+            .fold(floor)
+            .map_err(|e| self.violations.push(e))
+            .ok()
+    }
+
+    /// R4's live leg for `node` (whose live state is `live`), checked
+    /// before it crashes; `false` once violated.
+    fn live_holds(&mut self, node: &str, live: &[u8], floor: u64) -> bool {
+        self.ledger
+            .check_live(node, live, floor)
+            .map_err(|e| self.violations.push(e))
+            .is_ok()
+    }
+
     /// Execute one client frame on the active node and account for it
     /// member by member (op log, live mirror, `SCORE` bit-identity, one
     /// fsync per committing frame under `sync=always`).
@@ -654,10 +678,12 @@ impl ReplSim {
             self.repl_mirror = fresh_monitor();
             self.repl_mirror_seq = 0;
         }
-        for entry in &self.ledger.oplog {
-            if entry.seq > self.repl_mirror_seq && entry.seq <= applied {
-                apply_replayed(&mut self.repl_mirror, &entry.line);
-            }
+        if let Err(e) = self
+            .ledger
+            .fold_into(&mut self.repl_mirror, self.repl_mirror_seq, applied)
+        {
+            self.violation(e);
+            return;
         }
         self.repl_mirror_seq = applied;
         self.ledger.invariant_checks += 1;
@@ -693,6 +719,10 @@ impl ReplSim {
             return;
         };
         self.primary_crashes += 1;
+        let live = service.engine().monitor().snapshot_bytes();
+        if !self.live_holds("the primary", &live, u64::MAX) {
+            return;
+        }
         let synced_floor = service.engine().wal_synced_seq();
         drop(service);
         self.storage_p.crash(&mut self.crash_rng);
@@ -715,12 +745,7 @@ impl ReplSim {
         }
         if self.config.primary_sync == SyncPolicy::Always {
             self.ledger.invariant_checks += 1;
-            if let Some(lost) = self
-                .ledger
-                .oplog
-                .iter()
-                .find(|e| e.applied && e.seq > floor)
-            {
+            if let Some(lost) = self.ledger.oplog.iter().find(|e| e.acked && e.seq > floor) {
                 self.violation(format!(
                     "acked mutation lost under sync=always: seq {} {:?}",
                     lost.seq, lost.line
@@ -742,7 +767,9 @@ impl ReplSim {
         }
         self.ledger.oplog.retain(|e| e.seq <= floor);
         self.ledger.invariant_checks += 1;
-        let reference = self.ledger.fold(floor);
+        let Some(reference) = self.fold(floor) else {
+            return;
+        };
         if reference.snapshot_bytes() != monitor.snapshot_bytes() {
             self.violation(format!(
                 "recovered primary diverges from its acknowledged prefix at seq {floor}"
@@ -779,6 +806,10 @@ impl ReplSim {
     /// must hold its own durability floor *and* the R1 ack floor.
     fn restart_replica(&mut self) {
         self.replica_crashes += 1;
+        let live = self.replica.engine().monitor().snapshot_bytes();
+        if !self.live_holds("the replica", &live, self.replica.applied_seq()) {
+            return;
+        }
         let synced_floor = self.replica.durable_seq();
         self.storage_r.crash(&mut self.crash_rng);
         let (replica, stats) = match ReplicaEngine::open_in(
@@ -818,6 +849,10 @@ impl ReplSim {
     /// restarted primary-by-takeover bumps the epoch again).
     fn restart_active(&mut self) {
         self.replica_crashes += 1;
+        let live = self.replica.engine().monitor().snapshot_bytes();
+        if !self.live_holds("the promoted node", &live, u64::MAX) {
+            return;
+        }
         let synced_floor = self.replica.durable_seq();
         self.storage_r.crash(&mut self.crash_rng);
         let (replica, stats) = match ReplicaEngine::open_in(
@@ -843,12 +878,7 @@ impl ReplSim {
         }
         if self.config.replica_sync == SyncPolicy::Always {
             self.ledger.invariant_checks += 1;
-            if let Some(lost) = self
-                .ledger
-                .oplog
-                .iter()
-                .find(|e| e.applied && e.seq > floor)
-            {
+            if let Some(lost) = self.ledger.oplog.iter().find(|e| e.acked && e.seq > floor) {
                 self.violation(format!(
                     "acked mutation lost on the promoted node under sync=always: seq {} {:?}",
                     lost.seq, lost.line
@@ -858,7 +888,9 @@ impl ReplSim {
         }
         self.ledger.oplog.retain(|e| e.seq <= floor);
         self.ledger.invariant_checks += 1;
-        let reference = self.ledger.fold(floor);
+        let Some(reference) = self.fold(floor) else {
+            return;
+        };
         if reference.snapshot_bytes() != self.replica.engine().monitor().snapshot_bytes() {
             self.violation(format!(
                 "recovered promoted node diverges from its acknowledged prefix at seq {floor}"
@@ -866,7 +898,10 @@ impl ReplSim {
             return;
         }
         self.ledger.mirror = reference;
-        self.repl_mirror = self.ledger.fold(floor);
+        let Some(repl_mirror) = self.fold(floor) else {
+            return;
+        };
+        self.repl_mirror = repl_mirror;
         self.repl_mirror_seq = floor;
         match self.replica.promote() {
             Ok((epoch, lsn)) => {
@@ -888,10 +923,23 @@ impl ReplSim {
     /// fence.
     fn failover(&mut self) {
         self.failovers += 1;
-        if self.primary.take().is_some() {
+        if let Some(primary) = self.primary.take() {
+            let live = primary.engine().monitor().snapshot_bytes();
+            if !self.live_holds("the primary", &live, u64::MAX) {
+                return;
+            }
             self.storage_p.crash(&mut self.crash_rng);
         }
-        let (_verb, response) = self.replica.respond("PROMOTE");
+        let (_verb, mut response) = self.replica.respond("PROMOTE");
+        if response.starts_with("ERR") && self.replica.engine().wal_crashed() {
+            // The promotion's fsync failed and killed the replica's WAL:
+            // restart the node and promote what recovery found.
+            self.restart_replica();
+            if !self.violations.is_empty() {
+                return;
+            }
+            response = self.replica.respond("PROMOTE").1;
+        }
         let mut parts = response.split_ascii_whitespace();
         let (epoch, lsn) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
             (Some("OK"), Some("promoted"), Some(e), Some(l)) => {
@@ -927,8 +975,11 @@ impl ReplSim {
         // The new timeline: records above the takeover LSN died with
         // the old primary.
         self.ledger.oplog.retain(|e| e.seq <= lsn);
-        self.ledger.mirror = self.ledger.fold(lsn);
-        self.repl_mirror = self.ledger.fold(lsn);
+        let (Some(mirror), Some(repl_mirror)) = (self.fold(lsn), self.fold(lsn)) else {
+            return;
+        };
+        self.ledger.mirror = mirror;
+        self.repl_mirror = repl_mirror;
         self.repl_mirror_seq = lsn;
         // Invariant R2 at the promotion point.
         let engine = self.replica.engine();
@@ -1083,10 +1134,12 @@ impl ReplSim {
             self.rj_mirror = fresh_monitor();
             self.rj_mirror_seq = 0;
         }
-        for entry in &self.ledger.oplog {
-            if entry.seq > self.rj_mirror_seq && entry.seq <= applied {
-                apply_replayed(&mut self.rj_mirror, &entry.line);
-            }
+        if let Err(e) = self
+            .ledger
+            .fold_into(&mut self.rj_mirror, self.rj_mirror_seq, applied)
+        {
+            self.violation(e);
+            return;
         }
         self.rj_mirror_seq = applied;
         self.ledger.invariant_checks += 1;
@@ -1121,6 +1174,14 @@ impl ReplSim {
             return;
         };
         self.rejoined_crashes += 1;
+        // Off the new timeline until it adopts it: its divergent records
+        // are in no ledger, so only a current node has a live leg.
+        if self.rj_current {
+            let live = rj.engine().monitor().snapshot_bytes();
+            if !self.live_holds("the rejoined node", &live, rj.applied_seq()) {
+                return;
+            }
+        }
         let synced_floor = rj.durable_seq();
         drop(rj);
         self.storage_p.crash(&mut self.crash_rng);
@@ -1194,9 +1255,13 @@ impl ReplSim {
     /// to the new primary's durable floor and its binary snapshot
     /// byte-equal to the new primary's at the same LSN.
     fn drain_rejoin(&mut self) {
-        if let Err(e) = self.replica.engine().sync_wal() {
-            self.violation(format!("final sync on the promoted node failed: {e}"));
-            return;
+        if self.replica.engine().sync_wal().is_err() {
+            // The fsync killed the promoted node's WAL: restart it, which
+            // leaves nothing unsynced.
+            self.restart_active();
+            if !self.violations.is_empty() {
+                return;
+            }
         }
         let target = self.replica.engine().wal_synced_seq();
         for _ in 0..200 {

@@ -20,7 +20,9 @@
 //!
 //! Any failing seed is printed with the one-command repro line and the
 //! process exits non-zero, so the CI log carries everything needed to
-//! replay the exact interleaving locally.
+//! replay the exact interleaving locally. The results file holds only
+//! what the seeds determine, so a sweep regenerates it byte for byte;
+//! the wall time is printed, not written.
 //!
 //! Run: `cargo run -p attrition-bench --release --bin simctl --
 //!       [--mode serve|repl|rejoin] [--seeds 64] [--start 0] [--results NAME]`
@@ -133,10 +135,8 @@ fn serve_sweep(flags: &Flags) {
          \"crashes\": {crashes}, \"clean_restarts\": {clean_restarts}, \
          \"faults_injected\": {faults_injected}, \"wal_records\": {wal_records}, \
          \"score_checks\": {score_checks}, \"invariant_checks\": {invariant_checks}, \
-         \"failing_seeds\": [{failing_seeds}], \"wall_s\": {:.3}}}\n",
-        flags.seeds,
-        flags.start,
-        elapsed.as_secs_f64(),
+         \"failing_seeds\": [{failing_seeds}]}}\n",
+        flags.seeds, flags.start,
     );
     let results = flags.results.as_deref().unwrap_or("sim_sweep");
     write_result(&format!("{results}.json"), &json);
@@ -270,10 +270,8 @@ fn repl_sweep(flags: &Flags, rejoin: bool) {
          \"rejoins\": {rejoins}, \"divergent_records_discarded\": {divergent_discarded}, \
          \"rejoin_records_applied\": {rejoin_records}, \
          \"rejoined_crashes\": {rejoined_crashes}, \
-         \"failing_seeds\": [{failing_seeds}], \"wall_s\": {:.3}}}\n",
-        flags.seeds,
-        flags.start,
-        elapsed.as_secs_f64(),
+         \"failing_seeds\": [{failing_seeds}]}}\n",
+        flags.seeds, flags.start,
     );
     let results =
         flags

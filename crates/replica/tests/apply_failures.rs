@@ -4,9 +4,10 @@
 //! make durable are in the replica's log and applied, but not durable,
 //! and the WAL is dead. The replica must stop applying and ask to shut
 //! down; its live state is the fold of its log, so recovering the
-//! directory reproduces it. Reopened on that directory, the replica
-//! fetches from where its log ends — after which its `SCORE`s and its
-//! snapshot equal the primary's.
+//! directory reproduces it. A failed group write kills the WAL the same
+//! way, with nothing of the shipment in the log. Reopened on that
+//! directory, the replica fetches from where its log ends — after which
+//! its `SCORE`s and its snapshot equal the primary's.
 
 use attrition_core::StabilityParams;
 use attrition_replica::{FetchResponse, PrimaryService, ReplicaConfig, ReplicaEngine};
@@ -34,9 +35,44 @@ fn fallback() -> Fallback {
     }
 }
 
+/// How the replica's first commit fails.
+struct Failure {
+    tag: &'static str,
+    plan: FaultPlan,
+    /// The cause the dead WAL names.
+    cause: &'static str,
+    /// Whether the failed shipment is in the log: an fsync failed after
+    /// its write, or the write itself failed.
+    logged: bool,
+}
+
+/// The replica's very first sync — the one that would make record 1
+/// durable — fails.
+fn failed_sync(tag: &'static str) -> Failure {
+    Failure {
+        tag,
+        plan: FaultPlan::fail_sync_seq(1),
+        cause: "fsync failed: injected fault: scheduled sync failure",
+        logged: true,
+    }
+}
+
 #[test]
 fn a_failed_replica_sync_is_rebuilt_from_its_log_not_skipped() {
-    restarted_after_a_failed_sync("plain", None);
+    restarted_after_a_failed_commit(failed_sync("plain"), None);
+}
+
+/// The replica's first group write fails: nothing of the shipment
+/// reaches its log, and the restart fetches it again.
+#[test]
+fn a_failed_replica_group_write_stops_it_and_the_restart_refetches() {
+    let failure = Failure {
+        tag: "write",
+        plan: FaultPlan::fail_append(1),
+        cause: "write failed: injected fault: scheduled write failure",
+        logged: false,
+    };
+    restarted_after_a_failed_commit(failure, None);
 }
 
 /// The failed sync lands in a shipment that also makes a periodic
@@ -46,12 +82,13 @@ fn a_failed_replica_sync_is_rebuilt_from_its_log_not_skipped() {
 /// drop them from the log the restart reads.
 #[test]
 fn a_failed_replica_sync_does_not_trigger_a_checkpoint_that_skips_it() {
-    restarted_after_a_failed_sync("checkpointing", Some(4));
+    restarted_after_a_failed_commit(failed_sync("checkpointing"), Some(4));
 }
 
 /// `replica_checkpoint_every` overrides the replica's default count
 /// trigger.
-fn restarted_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64>) {
+fn restarted_after_a_failed_commit(failure: Failure, replica_checkpoint_every: Option<u64>) {
+    let tag = failure.tag;
     let pdir = temp_dir(&format!("{tag}_primary"));
     let rdir = temp_dir(&format!("{tag}_replica"));
     let dcfg = DurabilityConfig {
@@ -88,9 +125,7 @@ fn restarted_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64
     if let Some(every) = replica_checkpoint_every {
         rcfg.durability.checkpoint_every_requests = every;
     }
-    // The replica's very first sync — the one that would make record 1
-    // durable — fails.
-    rcfg.durability.fault_plan = Some(FaultPlan::fail_sync_seq(1));
+    rcfg.durability.fault_plan = Some(failure.plan);
     let replica = ReplicaEngine::open(rcfg.clone()).unwrap().0;
 
     let fetch = |replica: &ReplicaEngine| {
@@ -110,7 +145,10 @@ fn restarted_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64
         "the shipment is logged and applied"
     );
     let err = fetch(&replica).expect_err("a dead wal applies nothing");
-    assert!(err.contains("wal is dead: fsync failed"), "{err}");
+    assert!(
+        err.contains(&format!("wal is dead: {}", failure.cause)),
+        "{err}"
+    );
     assert_eq!(replica.applied_seq(), 4);
     assert!(
         checkpoint::list(&rdir).unwrap().is_empty(),
@@ -123,17 +161,22 @@ fn restarted_after_a_failed_sync(tag: &str, replica_checkpoint_every: Option<u64
         .checkpoint_error
         .expect("a dead wal cannot checkpoint");
     assert!(
-        shutdown_error.contains("scheduled sync failure"),
+        shutdown_error.contains(failure.cause),
         "the shutdown error names the first failure: {shutdown_error}"
     );
     drop(replica);
     let (recovered, stats) = recover(&rdir, Some(&fallback())).unwrap();
-    assert_eq!(stats.next_seq, 5);
-    assert_eq!(recovered.snapshot_bytes(), live, "live == recovered");
+    if failure.logged {
+        assert_eq!(stats.next_seq, 5);
+        assert_eq!(recovered.snapshot_bytes(), live, "live == recovered");
+    } else {
+        assert_eq!(stats.next_seq, 1, "the failed write left nothing");
+    }
 
     // Restarted on its directory, the replica continues after its log.
+    rcfg.durability.fault_plan = None;
     let replica = ReplicaEngine::open(rcfg).unwrap().0;
-    assert_eq!(replica.applied_seq(), 4);
+    assert_eq!(replica.applied_seq(), stats.next_seq - 1);
     for _round in 0..16 {
         match fetch(&replica) {
             Ok(applied) if applied.fresh == 0 && !applied.snapshot_installed => break,

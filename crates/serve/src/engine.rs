@@ -28,6 +28,7 @@ use crate::server::Service;
 use crate::shard::{apply, OutOfOrder, ShardedMonitor};
 use crate::wal::{self, LogEnd, SyncPolicy, Wal, WAL_FILE};
 use attrition_core::{StabilityPoint, WindowClosed};
+use attrition_obs::Counter;
 use attrition_types::{CustomerId, ItemId};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -35,9 +36,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// The prefix of every answer to a mutation that failed in the WAL
-/// (`ERR wal append failed: …`, `ERR wal commit failed: …`). After a
-/// failed commit the member was logged and applied, but never acked.
+/// The prefix of every answer to a mutation that failed in the WAL:
+/// `ERR wal commit failed: …` when its frame's group write or fsync
+/// failed (the member was logged and applied, but never acked), `ERR
+/// wal append failed: …` when the log was already dead (it was neither).
 pub const WAL_FAILURE: &str = "ERR wal ";
 
 /// Configuration of the durability subsystem (WAL + checkpoints).
@@ -103,14 +105,13 @@ struct Durable {
 
 impl Durable {
     /// Append an accepted mutation's record (items in wire order), its LSN
-    /// into `seq`, when durability is on; the frame's commit syncs it. A
-    /// failure refuses it and, through `failed`, the frame's later ones.
+    /// into `seq`, when durability is on; the frame's commit writes and
+    /// syncs it. Only a dead log refuses it — and then every mutation.
     fn log(
         durable: Option<&mut Durable>,
         request: &ParsedRequest,
         items: &[ItemId],
         seq: &mut u64,
-        failed: &mut Option<String>,
     ) -> Result<(), Answer> {
         let Some(d) = durable else { return Ok(()) };
         d.op_line.clear();
@@ -121,9 +122,10 @@ impl Durable {
             ParsedRequest::Flush(date) => write_flush_line(&mut d.op_line, *date),
             other => panic!("{} is not a mutation", other.verb()),
         }
-        *seq = d.wal.append_deferred(&d.op_line).map_err(|e| {
-            Answer::Refused(failed.insert(format!("wal append failed: {e}")).clone())
-        })?;
+        *seq = d
+            .wal
+            .append_deferred(&d.op_line)
+            .map_err(|e| Answer::Refused(format!("wal append failed: {e}")))?;
         Ok(())
     }
 
@@ -290,6 +292,9 @@ pub struct Engine {
     shutdown: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
+    /// `serve.requests` and `serve.errors`, looked up once at open.
+    requests_metric: Arc<Counter>,
+    errors_metric: Arc<Counter>,
 }
 
 impl Engine {
@@ -367,6 +372,8 @@ impl Engine {
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            requests_metric: attrition_obs::counter("serve.requests"),
+            errors_metric: attrition_obs::counter("serve.errors"),
         })
     }
 
@@ -398,8 +405,8 @@ impl Engine {
         self.with_wal(0, |wal| wal.fsyncs())
     }
 
-    /// Whether the WAL is dead (a failed fsync, a log that could not
-    /// roll back or truncate, or a fault-injected process death: every
+    /// Whether the WAL is dead (a failed write or fsync, a log that
+    /// could not truncate, or a fault-injected process death: every
     /// further append, sync and checkpoint fails, and the engine has
     /// requested shutdown). The deterministic simulator polls this after
     /// every frame to restart the world; `false` when durability is off.
@@ -461,39 +468,30 @@ impl Engine {
 
     /// Run one parsed frame member, capturing what its response needs. A
     /// mutation is checked, logged through `durable` if accepted (its
-    /// LSN lands in `seq`), and applied — unless an earlier append of the
-    /// frame `failed`, whose answer it then shares.
+    /// LSN lands in `seq`), and applied.
     fn run_member(
         &self,
         request: &ParsedRequest,
         seq: &mut u64,
         durable: Option<&mut Durable>,
-        failed: &mut Option<String>,
         items: &[ItemId],
         sorted: &mut Vec<ItemId>,
     ) -> Answer {
-        if let (Some(message), ParsedRequest::Ingest(..) | ParsedRequest::Flush(_)) =
-            (failed.as_ref(), request)
-        {
-            return Answer::Refused(message.clone());
-        }
         match request {
             ParsedRequest::Ping => Answer::Pong,
             ParsedRequest::Ingest(customer, ..) => {
                 // The shard stays locked from the check through the apply.
                 let mut shard = self.monitor.lock_shard(*customer);
-                let log = || Durable::log(durable, request, items, seq, failed);
+                let log = || Durable::log(durable, request, items, seq);
                 match apply(&mut shard, request, items, sorted, log) {
                     Ok(closed) => Answer::Closed(closed),
                     Err(refused) => refused,
                 }
             }
-            ParsedRequest::Flush(date) => {
-                match Durable::log(durable, request, items, seq, failed) {
-                    Ok(()) => Answer::Closed(self.monitor.flush_until(*date)),
-                    Err(refused) => refused,
-                }
-            }
+            ParsedRequest::Flush(date) => match Durable::log(durable, request, items, seq) {
+                Ok(()) => Answer::Closed(self.monitor.flush_until(*date)),
+                Err(refused) => refused,
+            },
             ParsedRequest::Score(customer) => {
                 Answer::Score(*customer, self.monitor.preview(*customer))
             }
@@ -546,15 +544,15 @@ impl Service for Engine {
     /// Execute one frame. Parses every member into `scratch`'s shared
     /// arena, then runs each member once, in wire order, under the
     /// durability lock: a mutation is checked against the live monitor,
-    /// appended to the WAL only if accepted, and applied. One group
-    /// commit then makes the frame's records durable with **one** fsync
-    /// (policy permitting), and the answers render after the lock is
-    /// released — so no member is acked before the whole group is as
-    /// durable as the sync policy promises. After a failed append the
-    /// frame's later mutations are answered `ERR`, neither logged nor
-    /// applied, so a frame's records sit in the log contiguously, in
-    /// member order — what lets a replica apply a shipped batch as one
-    /// frame and find each record at its shipped sequence number. A
+    /// appended to the WAL's group only if accepted, and applied. One
+    /// group commit then writes the frame's records with **one** write
+    /// and makes them durable with **one** fsync (policy permitting), and
+    /// the answers render after the lock is released — so no member is
+    /// acked before the whole group is as durable as the sync policy
+    /// promises. An append fails only on a dead log, which refuses every
+    /// mutation alike, so a frame's records sit in the log contiguously,
+    /// in member order — what lets a replica apply a shipped batch as
+    /// one frame and find each record at its shipped sequence number. A
     /// failed commit answers the logged members `ERR`; after any frame
     /// that leaves the WAL dead the engine requests shutdown (fail-stop).
     ///
@@ -585,7 +583,6 @@ impl Service for Engine {
             .any(|p| matches!(p, Ok(ParsedRequest::Ingest(..) | ParsedRequest::Flush(_))));
         // Frames without a mutation never wait for the durability lock.
         let mut durable = self.durable.as_ref().filter(|_| mutating).map(lock_durable);
-        let mut failed: Option<String> = None;
         answers.clear();
         for (parse, outcome) in parsed.iter_mut().zip(outcomes.iter_mut()) {
             answers.push(match parse {
@@ -594,7 +591,6 @@ impl Service for Engine {
                     request,
                     &mut outcome.seq,
                     durable.as_deref_mut(),
-                    &mut failed,
                     items,
                     apply_items,
                 ),
@@ -632,10 +628,10 @@ impl Service for Engine {
             out.push('\n');
         }
         self.requests.fetch_add(n as u64, Ordering::Relaxed);
-        attrition_obs::counter("serve.requests").add(n as u64);
+        self.requests_metric.add(n as u64);
         if errors > 0 {
             self.errors.fetch_add(errors, Ordering::Relaxed);
-            attrition_obs::counter("serve.errors").add(errors);
+            self.errors_metric.add(errors);
         }
     }
     fn request_shutdown(&self) {

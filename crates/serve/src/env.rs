@@ -113,8 +113,15 @@ pub trait Storage: Send + Sync {
     /// missing and extending it (zero-filling any gap) when the write
     /// ends past its current length. Bytes outside the range are left
     /// as they are. May write a prefix and then fail (a torn write) —
-    /// callers must roll back or tolerate it.
+    /// callers must tolerate it (the WAL dies and recovery cuts it).
     fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()>;
+
+    /// Create `path` if missing and return its length; later writes and
+    /// syncs reach the file at `path` now, not one removed or replaced.
+    fn open(&self, path: &Path) -> io::Result<u64> {
+        self.write_at(path, 0, b"")?;
+        self.len(path)
+    }
 
     /// Make `path`'s current content durable (`fsync`).
     fn sync(&self, path: &Path) -> io::Result<()>;
@@ -147,10 +154,10 @@ pub trait Storage: Send + Sync {
 /// hot WAL does not reopen its log on every record. The handles are
 /// opened *without* `O_APPEND`: Linux `pwrite` on an append-mode
 /// descriptor ignores the offset, and every write here is positioned,
-/// so truncation never stales a handle. Only
+/// so truncation never stales a handle. [`open`](Storage::open),
 /// [`write`](Storage::write), [`rename`](Storage::rename) and
-/// [`remove`](Storage::remove) drop one, since they may swap the file
-/// under the path.
+/// [`remove`](Storage::remove) drop one: the file under the path may
+/// have been or may be swapped.
 #[derive(Debug, Default)]
 pub struct RealStorage {
     handles: Mutex<std::collections::HashMap<PathBuf, std::fs::File>>,
@@ -230,6 +237,11 @@ impl Storage for RealStorage {
 
     fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
         self.with_handle(path, |file| write_all_at(file, offset, bytes))
+    }
+
+    fn open(&self, path: &Path) -> io::Result<u64> {
+        self.drop_handle(path);
+        self.with_handle(path, |file| Ok(file.metadata()?.len()))
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {

@@ -5,9 +5,9 @@
 //! [`DurabilityConfig::fault_plan`](crate::server::DurabilityConfig))
 //! and deterministically breaks it at a chosen point:
 //!
-//! - **fail the Nth append** — the write returns an injected I/O error
-//!   and nothing reaches the file, exercising the server's
-//!   "no ack without a logged record" path;
+//! - **fail the group write holding the Nth append** — nothing is
+//!   written and the WAL dies: the frame's members are applied, none is
+//!   acked, and the node stops;
 //! - **crash after the Nth append** — once the commit of the group
 //!   holding the Nth append has synced, the log freezes exactly as a
 //!   `SIGKILL` would leave it (every later append, sync and checkpoint
@@ -33,9 +33,10 @@
 //! crash-restarts) derives its own [`SplitMix64`] stream from the seed,
 //! so one `u64` reproduces the entire fault interleaving bit-for-bit.
 //! The rates cover the failure modes the deterministic crash tests
-//! cannot enumerate: clean append failures, torn (partial) appends,
-//! message drop/duplicate/delay (reordering falls out of random
-//! delays), and crash-restart at arbitrary event boundaries.
+//! cannot enumerate: clean and torn (partial) group writes, drawn once
+//! per write and fatal to the WAL, process death between a group's
+//! write and its fsync, message drop/duplicate/delay (reordering falls
+//! out of random delays), and crash-restart at event boundaries.
 //!
 //! [`SplitMix64`]: crate::env::SplitMix64
 
@@ -46,8 +47,8 @@ use crate::env::SplitMix64;
 /// with the simulator (the `*_per_mille` rates).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Fail this append (1-based count of append *attempts*) with an
-    /// injected error, writing nothing. Later appends succeed again.
+    /// Fail the group write that holds this append (1-based count of
+    /// appends) with an injected error, writing nothing; the WAL dies.
     pub fail_append: Option<u64>,
     /// After this many *successful* appends, simulate process death at
     /// the end of the commit that covers the last of them (after its
@@ -67,12 +68,12 @@ pub struct FaultPlan {
     /// Seed of the stochastic schedule below (ignored when every rate
     /// is zero).
     pub seed: u64,
-    /// Rate (per 1000 appends) of clean injected append failures:
-    /// nothing reaches the file, the caller sees an error.
+    /// Rate (per 1000 group writes) of clean injected write failures:
+    /// nothing reaches the file, the commit fails and the WAL dies.
     pub fail_append_per_mille: u32,
-    /// Rate (per 1000 appends) of *torn* appends: a random prefix of
-    /// the frame reaches the file before the error — the WAL must roll
-    /// it back or poison itself.
+    /// Rate (per 1000 group writes) of *torn* writes: a seeded prefix of
+    /// the group's frames reaches the file before the error, the WAL
+    /// dies, and recovery must cut the torn tail.
     pub torn_append_per_mille: u32,
     /// Rate (per 1000 messages) of message drops on the simulated
     /// transport, either direction.
@@ -87,9 +88,9 @@ pub struct FaultPlan {
     /// whole server at that event boundary (simulator only).
     pub crash_per_mille: u32,
     /// Rate (per 1000 group commits with records pending) of process
-    /// death *between* a batch's appends and its group-commit fsync —
-    /// the window where a whole batch is in the file but none of it is
-    /// durable and none of it was acked.
+    /// death *between* a batch's group write and its fsync — the window
+    /// where a whole batch is in the file but none of it is durable and
+    /// none of it was acked.
     pub crash_commit_per_mille: u32,
 }
 
@@ -99,7 +100,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Fail the `n`th append attempt (1-based) with an injected error.
+    /// Fail the group write holding the `n`th append (1-based).
     pub fn fail_append(n: u64) -> FaultPlan {
         FaultPlan {
             fail_append: Some(n),
@@ -149,12 +150,12 @@ impl FaultPlan {
         }
     }
 
-    /// Draw: should this append fail cleanly (nothing written)?
+    /// Draw: should this group write fail cleanly (nothing written)?
     pub fn failed_append(&self, rng: &mut SplitMix64) -> bool {
         self.fail_append_per_mille != 0 && rng.per_mille(self.fail_append_per_mille)
     }
 
-    /// Draw: should this append tear (partial frame written, then error)?
+    /// Draw: should this group write tear (a prefix written, then error)?
     pub fn torn_append(&self, rng: &mut SplitMix64) -> bool {
         self.torn_append_per_mille != 0 && rng.per_mille(self.torn_append_per_mille)
     }
@@ -179,8 +180,8 @@ impl FaultPlan {
         self.crash_per_mille != 0 && rng.per_mille(self.crash_per_mille)
     }
 
-    /// Draw: should the process die between a group's appends and its
-    /// group-commit fsync?
+    /// Draw: should the process die between a group's write and its
+    /// fsync?
     pub fn crash_mid_commit(&self, rng: &mut SplitMix64) -> bool {
         self.crash_commit_per_mille != 0 && rng.per_mille(self.crash_commit_per_mille)
     }

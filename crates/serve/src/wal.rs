@@ -26,15 +26,19 @@
 //! checkpoint LSN, which makes a crash *between* checkpoint rename and
 //! log truncation harmless (idempotent replay).
 //!
-//! ## In-place commits
+//! ## In-place group commits
 //!
-//! The log keeps a zero-filled, allocated extent of [`EXTENT`] bytes
-//! ahead of its logical end and writes each frame over it, so the fsync
-//! that commits a frame flushes data only: the file's size — and with
-//! it the filesystem journal — changes once per extent, not once per
-//! record. The frame that would cross the end of the extent carries the
-//! next extent in the same write. A checkpoint still truncates the file
-//! to nothing; the next append zero-fills a fresh extent.
+//! An append only encodes its frame into a group buffer; [`Wal::commit`]
+//! writes the whole group with **one** write over a zero-filled,
+//! allocated extent of [`EXTENT`] bytes kept ahead of the log's logical
+//! end, then applies the sync policy. The fsync that commits a group
+//! flushes data only: the file's size — and with it the filesystem
+//! journal — changes once per extent, not once per record. The group
+//! that crosses the end of the extent carries the next one in the same
+//! write. A failed or torn write kills the log, as a failed fsync does;
+//! recovery keeps the whole frames of it that landed and cuts the rest.
+//! A checkpoint truncates the file to nothing; the next group zero-fills
+//! a fresh extent.
 //!
 //! ## Where a log ends
 //!
@@ -132,18 +136,18 @@ pub struct WalRecord {
     pub op: String,
 }
 
-/// Encode one frame (header + payload) into a reusable buffer (cleared
-/// first) — the WAL's steady-state encoder, so appending does not
-/// allocate a frame per record.
-pub fn encode_record_into(frame: &mut Vec<u8>, seq: u64, op: &str) {
-    frame.clear();
+/// Encode one frame (header + payload) onto the end of a reusable
+/// buffer — the WAL's group encoder, so appending allocates no frame
+/// per record.
+pub fn encode_record_into(buf: &mut Vec<u8>, seq: u64, op: &str) {
+    let start = buf.len();
     let payload_len = SEQ_BYTES + op.len();
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // crc patched below
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(op.as_bytes());
-    let crc = crc32(&frame[HEADER..]);
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    buf.extend_from_slice(&[0u8; 4]); // crc patched below
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(op.as_bytes());
+    let crc = crc32(&buf[start + HEADER..]);
+    buf[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The valid frames of a log image, walked in place: each item is a
@@ -303,6 +307,7 @@ impl LogEnd {
 #[derive(Debug)]
 struct WalMetrics {
     appends: Arc<Counter>,
+    writes: Arc<Counter>,
     fsyncs: Arc<Counter>,
     group_commits: Arc<Counter>,
     extends: Arc<Counter>,
@@ -316,6 +321,7 @@ impl WalMetrics {
         let registry = attrition_obs::global();
         WalMetrics {
             appends: registry.counter("serve.wal.appends"),
+            writes: registry.counter("serve.wal.writes"),
             fsyncs: registry.counter("serve.wal.fsyncs"),
             group_commits: registry.counter("serve.wal.group_commits"),
             extends: registry.counter("serve.wal.extends"),
@@ -332,23 +338,24 @@ pub struct Wal {
     path: PathBuf,
     policy: SyncPolicy,
     next_seq: u64,
-    /// The log's logical end: where the next frame is written, and what
-    /// a failed append rolls back to.
+    /// The end of the frames written to the file: where the pending
+    /// group is written.
     len: u64,
-    /// The file's length. Every byte in `len..alloc` is zero.
+    /// The file's length once the pending group is written.
     alloc: u64,
+    /// The pending group's write carries a fresh extent up to `alloc`.
+    extends: bool,
     appends: u64,
     fsyncs: u64,
     unsynced: u64,
-    attempts: u64,
     faults: FaultPlan,
     fault_rng: SplitMix64,
     /// Why the log died, once it has (see [`crashed`](Wal::crashed)):
     /// every later append, sync and truncation fails naming it.
     dead: Option<String>,
-    /// Reusable frame encode buffer (see [`encode_record_into`]); it
-    /// also carries a fresh extent's zeros when a frame extends the file.
-    frame: Vec<u8>,
+    /// The frames appended since the last write (see
+    /// [`encode_record_into`]); also a fresh extent's zeros at the write.
+    group: Vec<u8>,
     metrics: WalMetrics,
 }
 
@@ -399,11 +406,8 @@ impl Wal {
         faults: FaultPlan,
     ) -> std::io::Result<Wal> {
         assert!(end.next_seq >= 1, "sequence numbers are 1-based");
-        // Touch the file so an empty log exists on disk from the start
-        // (recovery treats a missing file and an empty file the same,
-        // but a visible empty log is easier to operate on).
-        storage.write_at(path, 0, b"")?;
-        let alloc = storage.len(path)?;
+        // Creates an empty log; writes go to the file now at `path`.
+        let alloc = storage.open(path)?;
         if end.offset > alloc {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -414,8 +418,8 @@ impl Wal {
                 ),
             ));
         }
-        // Decorrelate the stochastic fault stream per incarnation so a
-        // restarted WAL does not replay its predecessor's faults.
+        // Decorrelate the stochastic fault stream by where the log
+        // resumes (a restart at the same LSN redraws the same faults).
         let fault_rng = SplitMix64::new(faults.seed ^ end.next_seq.wrapping_mul(0x9E37_79B9));
         let metrics = WalMetrics::lookup();
         metrics.poisoned.set(0);
@@ -426,14 +430,14 @@ impl Wal {
             next_seq: end.next_seq,
             len: end.offset,
             alloc,
+            extends: false,
             appends: 0,
             fsyncs: 0,
             unsynced: 0,
-            attempts: 0,
             faults,
             fault_rng,
             dead: None,
-            frame: Vec::new(),
+            group: Vec::new(),
             metrics,
         })
     }
@@ -441,11 +445,7 @@ impl Wal {
     /// Append one operation and commit it — a group of one; returns its
     /// sequence number. The record is on disk (per the sync policy) when
     /// this returns — the caller may ack. An error means nothing was
-    /// acked and nothing must be applied: a partially-written frame
-    /// (torn write) is rolled back by cutting the file back to the log's
-    /// end, and a log that cannot even roll back dies rather than
-    /// writing unreachable records after garbage. A failed sync leaves
-    /// the record in the file and the log dead.
+    /// acked and the log is dead.
     pub fn append(&mut self, op: &str) -> std::io::Result<u64> {
         let seq = self.append_deferred(op)?;
         self.commit()?;
@@ -453,67 +453,19 @@ impl Wal {
     }
 
     /// [`append`](Wal::append) without the commit — one member of a
-    /// group. The record is in the file (or the call errored and nothing
-    /// is), but it is **not** durable until the group's
-    /// [`commit`](Wal::commit) returns `Ok`; the caller must not ack
-    /// before then.
+    /// group, only encoded into the pending group: it reaches the file
+    /// with the group's [`commit`](Wal::commit), and the caller must not
+    /// ack it before that returns `Ok`. Fails only when the log is dead.
     pub fn append_deferred(&mut self, op: &str) -> std::io::Result<u64> {
-        self.append_raw(op)
-            .inspect_err(|_| self.metrics.errors.inc())
-    }
-
-    /// Write one frame at the log's end with fault injection and
-    /// rollback, no syncing.
-    fn append_raw(&mut self, op: &str) -> std::io::Result<u64> {
-        self.alive()?;
-        self.attempts += 1;
-        if self.faults.fail_append == Some(self.attempts) {
-            return Err(injected_error("scheduled append failure"));
-        }
+        self.alive().inspect_err(|_| self.metrics.errors.inc())?;
         let seq = self.next_seq;
-        encode_record_into(&mut self.frame, seq, op);
-        let frame_len = self.frame.len();
-        let end = self.len + frame_len as u64;
-        // A frame that would cross the end of the zero extent carries
-        // the next extent in the same write: one write call per frame,
-        // so a crash still tears at most this frame.
-        let extend = end > self.alloc;
-        if extend {
-            self.frame.resize(frame_len + EXTENT as usize, 0);
+        encode_record_into(&mut self.group, seq, op);
+        let end = self.len + self.group.len() as u64;
+        if end > self.alloc {
+            // The extent ends where this frame's own write ended it.
+            self.alloc = end + EXTENT;
+            self.extends = true;
         }
-        let outcome = if self.faults.torn_append(&mut self.fault_rng) {
-            // Injected torn write: a prefix of the frame reaches the
-            // file, then the write "fails" — what a full disk or a
-            // yanked cable leaves behind.
-            let cut = 1 + self.fault_rng.below(frame_len as u64 - 1) as usize;
-            let _ = self
-                .storage
-                .write_at(&self.path, self.len, &self.frame[..cut]);
-            Err(injected_error("torn append"))
-        } else if self.faults.failed_append(&mut self.fault_rng) {
-            Err(injected_error("scheduled append failure"))
-        } else {
-            self.storage.write_at(&self.path, self.len, &self.frame)
-        };
-        let written = self.frame.len() as u64;
-        self.frame.truncate(frame_len);
-        if let Err(e) = outcome {
-            // Roll back whatever prefix may have landed by cutting the
-            // file back to the log's end (the extent goes too; the next
-            // append writes a fresh one). If even that fails the bytes
-            // past the end are garbage and every later frame would be
-            // unreachable at recovery — the log dies instead.
-            match self.storage.set_len(&self.path, self.len) {
-                Ok(_) => self.alloc = self.len,
-                Err(rollback) => drop(self.die("append rollback failed", rollback)),
-            }
-            return Err(e);
-        }
-        if extend {
-            self.alloc = self.len + written;
-            self.metrics.extends.inc();
-        }
-        self.len = end;
         self.next_seq += 1;
         self.appends += 1;
         self.unsynced += 1;
@@ -522,14 +474,14 @@ impl Wal {
     }
 
     /// Finish a group of [`append_deferred`](Wal::append_deferred)s:
-    /// apply the sync policy **once** across the whole group. Under
-    /// `always` this is the single group-commit fsync a batch pays
-    /// instead of one per record; under `interval:n` it syncs only when
-    /// `n` or more records are pending, so the at-most-`n−1`-unsynced
-    /// ack contract holds at every batch boundary (no acks are written
-    /// mid-group); under `never` it is a no-op. An error means none of
-    /// the group's records may be acked and the log is dead; recovery
-    /// decides whether the records in the file survived.
+    /// write the whole group with **one** write, then apply the sync
+    /// policy **once** across it. Under `always` this is the single
+    /// group-commit fsync a batch pays instead of one per record; under
+    /// `interval:n` it syncs only when `n` or more records are pending,
+    /// so the at-most-`n−1`-unsynced ack contract holds at every batch
+    /// boundary (no acks are written mid-group); under `never` the write
+    /// alone. An error means none of the group's records may be acked
+    /// and the log is dead; recovery decides which of them survived.
     ///
     /// A scheduled `crash_after_appends` fault fires here, after the
     /// group's sync: the group that reached the count is acked, then the
@@ -548,10 +500,10 @@ impl Wal {
     }
 
     fn commit_group(&mut self) -> std::io::Result<()> {
-        self.alive()?;
+        self.write_group()?;
         if self.unsynced > 0 && self.faults.crash_mid_commit(&mut self.fault_rng) {
-            // Process death between the group's appends and its fsync —
-            // exactly the window where acked-nothing but appended-all.
+            // Process death between the group's write and its fsync —
+            // exactly the window where acked-nothing but written-all.
             return Err(self.crash(injected_error("crash mid-commit")));
         }
         let due = match self.policy {
@@ -566,14 +518,51 @@ impl Wal {
         Ok(())
     }
 
-    /// Fsync the log (no-op when nothing is pending). Its duration is
-    /// recorded in `serve.wal.sync_us` while metrics are enabled.
+    /// Write the pending group at the log's end in one call (no-op when
+    /// none is pending). A failed or torn write kills the log: its
+    /// members are applied already, and only a restart reconciles.
+    fn write_group(&mut self) -> std::io::Result<()> {
+        self.alive()?;
+        if self.group.is_empty() {
+            return Ok(());
+        }
+        let frames = self.group.len();
+        if self.extends {
+            self.group.resize((self.alloc - self.len) as usize, 0);
+        }
+        let written = if self.faults.torn_append(&mut self.fault_rng) {
+            // A prefix of the frames lands, then the write "fails" — what
+            // a full disk or a yanked cable leaves behind.
+            let cut = 1 + self.fault_rng.below(frames as u64 - 1) as usize;
+            let _ = self
+                .storage
+                .write_at(&self.path, self.len, &self.group[..cut]);
+            Err(injected_error("torn write"))
+        } else if self.faults.failed_append(&mut self.fault_rng)
+            || self.faults.fail_append.is_some_and(|n| self.appends >= n)
+        {
+            Err(injected_error("scheduled write failure"))
+        } else {
+            self.storage.write_at(&self.path, self.len, &self.group)
+        };
+        written.map_err(|e| self.die("write failed", e))?;
+        self.metrics.writes.inc();
+        self.metrics.extends.add(u64::from(self.extends));
+        self.len += frames as u64;
+        self.extends = false;
+        self.group.clear();
+        Ok(())
+    }
+
+    /// Fsync the log, writing a pending group first (no-op when nothing
+    /// is pending). Its duration is recorded in `serve.wal.sync_us`
+    /// while metrics are enabled.
     ///
     /// A failed fsync is never retried: the kernel may already have
     /// dropped the dirty pages, so a later success proves nothing
     /// (Rebello et al., USENIX ATC 2020). The log dies instead.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.alive()?;
+        self.write_group()?;
         if self.unsynced == 0 {
             return Ok(());
         }
@@ -600,12 +589,13 @@ impl Wal {
         Ok(())
     }
 
-    /// Drop every record (after a checkpoint made them redundant). The
-    /// sequence counter keeps running — LSNs never restart — and the
-    /// next append zero-fills a fresh extent. A failure leaves the log
-    /// dead: where its zeros start is unknown.
+    /// Drop every record (after a checkpoint synced them and made them
+    /// redundant). The sequence counter keeps running — LSNs never
+    /// restart — and the next group zero-fills a fresh extent. A
+    /// failure leaves the log dead: where its zeros start is unknown.
     pub fn truncate(&mut self) -> std::io::Result<()> {
         self.alive()?;
+        debug_assert!(self.group.is_empty(), "truncating under a pending group");
         self.storage
             .set_len(&self.path, 0)
             .map_err(|e| self.die("truncate failed", e))?;
@@ -623,8 +613,8 @@ impl Wal {
         self.next_seq - 1
     }
 
-    /// Where this log continues: the next record's LSN and the offset
-    /// its frame is written at.
+    /// Where this log continues between commits: the next record's LSN
+    /// and the offset its frame is written at.
     pub fn end(&self) -> LogEnd {
         LogEnd {
             next_seq: self.next_seq,
@@ -652,8 +642,8 @@ impl Wal {
         self.fsyncs
     }
 
-    /// Whether the log is dead: an fsync, rollback or truncation failed,
-    /// or an injected crash fired. Only a restart continues from it.
+    /// Whether the log is dead: a write, fsync or truncation failed, or
+    /// an injected crash fired. Only a restart continues from it.
     pub fn crashed(&self) -> bool {
         self.dead.is_some()
     }
@@ -840,7 +830,7 @@ mod tests {
 
     #[test]
     fn crash_mid_commit_freezes_before_the_sync() {
-        // A certain mid-commit crash: the group's records are appended
+        // A certain mid-commit crash: the group's records are written
         // (in the file) but the commit errors and the floor stays put.
         let plan = FaultPlan {
             crash_commit_per_mille: 1000,
@@ -883,21 +873,120 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_append_failure_fires_once() {
+    fn a_failed_group_write_kills_the_log_and_writes_nothing() {
         let path = temp_path("failnth");
         let _ = std::fs::remove_file(&path);
         let mut wal =
-            Wal::open_with_faults(&path, SyncPolicy::Never, 1, FaultPlan::fail_append(2)).unwrap();
+            Wal::open_with_faults(&path, SyncPolicy::Never, 1, FaultPlan::fail_append(3)).unwrap();
         assert_eq!(wal.append("INGEST 1 2012-05-02").unwrap(), 1);
-        let err = wal.append("INGEST 2 2012-05-02").unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        // The failed attempt consumed no sequence number and wrote nothing.
-        assert_eq!(wal.append("INGEST 3 2012-05-02").unwrap(), 2);
+        // The group holding the third append fails whole.
+        for i in 2..=4 {
+            wal.append_deferred(&format!("INGEST {i} 2012-05-02"))
+                .unwrap();
+        }
+        let err = wal.commit().unwrap_err();
+        assert!(err.to_string().contains("scheduled write failure"), "{err}");
+        assert!(wal.crashed());
+        for err in [
+            wal.append("INGEST 5 2012-05-02").unwrap_err(),
+            wal.sync().unwrap_err(),
+        ] {
+            let text = err.to_string();
+            assert!(text.starts_with("wal is dead: write failed: "), "{text}");
+        }
         drop(wal);
         let scan = read_records(&path).unwrap();
-        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.torn_bytes, 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_group_write_kills_the_log_and_recovery_cuts_it() {
+        let path = temp_path("torn_group");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path, SyncPolicy::Always, 1).unwrap();
+        wal.append("INGEST 1 2012-05-02 1").unwrap();
+        let end = wal.end();
+        drop(wal);
+        let every_write_tears = FaultPlan {
+            seed: 9,
+            torn_append_per_mille: 1000,
+            ..FaultPlan::none()
+        };
+        let mut wal =
+            Wal::open_with_faults(&path, SyncPolicy::Always, 2, every_write_tears).unwrap();
+        for i in 2..=4 {
+            wal.append_deferred(&format!("INGEST {i} 2012-05-02 {i}"))
+                .unwrap();
+        }
+        let err = wal.commit().unwrap_err();
+        assert!(err.to_string().contains("torn write"), "{err}");
+        assert!(wal.crashed());
+        assert_eq!(wal.synced_seq(), 1, "nothing of the group became durable");
+        drop(wal);
+        // A prefix of the group landed: whole frames in it read as
+        // records, the rest is a torn tail that recovery cuts.
+        let scan = read_records(&path).unwrap();
+        assert!((1..4).contains(&scan.records.len()), "{scan:?}");
+        assert!(scan.valid_len >= end.offset);
+        truncate_to_valid(&path, scan.valid_len).unwrap();
+        let next = scan.records.len() as u64 + 1;
+        let mut wal = Wal::open(&path, SyncPolicy::Always, next).unwrap();
+        assert_eq!(wal.append("INGEST 9 2012-05-03 9").unwrap(), next);
+        drop(wal);
+        let clean = read_records(&path).unwrap();
+        assert_eq!(clean.records.len() as u64, next);
+        assert_eq!(clean.torn_bytes, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn group_commits_write_the_bytes_single_appends_write() {
+        // The same records, appended one commit each or in groups of
+        // any size, leave byte-identical files: the frames, and the zero
+        // extent ending where the crossing frame's own write ended it.
+        forall(
+            24,
+            |rng| {
+                let n = 1 + rng.u64_below(400);
+                let ops: Vec<String> = (0..n)
+                    .map(|_| format!("{}{}", random_op(rng), " 1234567".repeat(20)))
+                    .collect();
+                let groups: Vec<usize> = (0..n).map(|_| 1 + rng.u64_below(64) as usize).collect();
+                (ops, groups)
+            },
+            |(ops, groups)| {
+                let tag = crc32(ops.concat().as_bytes());
+                let single = temp_path(&format!("single_{tag:x}"));
+                let grouped = temp_path(&format!("grouped_{tag:x}"));
+                for path in [&single, &grouped] {
+                    let _ = std::fs::remove_file(path);
+                }
+                let mut wal = Wal::open(&single, SyncPolicy::Never, 1).unwrap();
+                for op in ops {
+                    wal.append(op).unwrap();
+                }
+                let mut wal = Wal::open(&grouped, SyncPolicy::Never, 1).unwrap();
+                let mut rest = &ops[..];
+                for &size in groups {
+                    let (group, tail) = rest.split_at(size.min(rest.len()));
+                    for op in group {
+                        wal.append_deferred(op).unwrap();
+                    }
+                    wal.commit().unwrap();
+                    rest = tail;
+                }
+                let (a, b) = (
+                    std::fs::read(&single).unwrap(),
+                    std::fs::read(&grouped).unwrap(),
+                );
+                for path in [&single, &grouped] {
+                    let _ = std::fs::remove_file(path);
+                }
+                assert!(a == b, "{} bytes vs {} bytes", a.len(), b.len());
+            },
+        );
     }
 
     #[test]

@@ -183,9 +183,12 @@ fn stats_last_op_len(seg_store: &ReceiptStore, n: usize) -> u64 {
     op.len() as u64 - 1 // the torn byte itself is already off the file
 }
 
+/// The group write holding the 10th append fails: that frame's member
+/// was applied but is answered `ERR`, the log dies, the server stops by
+/// itself, and recovery restores exactly the acked records.
 #[test]
-fn failed_append_rejects_the_request_without_applying_it() {
-    let dir = temp_dir("failedappend");
+fn a_failed_group_write_stops_the_server_and_recovery_keeps_the_acked() {
+    let dir = temp_dir("failedwrite");
     let (cfg, seg_store) = scenario(5, 5, 6);
     let spec = WindowSpec::months(cfg.start, 1);
 
@@ -193,47 +196,76 @@ fn failed_append_rejects_the_request_without_applying_it() {
         .expect("server starts");
     let mut client = Client::connect(handle.local_addr(), TIMEOUT).expect("connects");
     let mut reference = StabilityMonitor::new(spec, StabilityParams::PAPER);
-    let mut rejected = 0u64;
+    let mut acked = 0u64;
+    let mut refused = Vec::new();
     for receipt in chronological(&seg_store) {
         let items: Vec<u32> = receipt.items.iter().map(|i| i.raw()).collect();
-        match client
-            .ingest(receipt.customer.raw(), receipt.date, &items)
-            .expect("connection stays up — only the one append fails")
-        {
-            Reply::Closed(_) => {
+        match client.ingest(receipt.customer.raw(), receipt.date, &items) {
+            Ok(Reply::Closed(_)) => {
+                acked += 1;
                 reference.ingest(
                     receipt.customer,
                     receipt.date,
                     &Basket::new(receipt.items.to_vec()),
                 );
             }
-            Reply::Err(message) => {
-                assert!(message.contains("wal append failed"), "{message}");
-                assert!(message.contains("injected fault"), "{message}");
-                rejected += 1;
-            }
-            other => panic!("unexpected reply: {other:?}"),
+            Ok(Reply::Err(message)) => refused.push(message),
+            Ok(other) => panic!("unexpected reply: {other:?}"),
+            // The stopped server closed the connection.
+            Err(_) => break,
         }
     }
-    assert_eq!(rejected, 1, "exactly the 10th append fails");
+    assert_eq!(acked, 9, "every append before the failed write was acked");
+    assert_eq!(
+        refused,
+        ["wal commit failed: injected fault: scheduled write failure"]
+    );
 
-    // The live server already excludes the rejected request…
-    let probe: Vec<CustomerId> = reference.customer_ids();
-    for customer in probe.iter().take(3) {
-        let expected = reference.preview(*customer).expect("tracked");
-        match client.score(customer.raw()).expect("score rpc") {
-            Reply::Score(s) => assert_eq!(s.value.to_bits(), expected.value.to_bits()),
-            other => panic!("unexpected score reply: {other:?}"),
-        }
-    }
-    client.send("SHUTDOWN").expect("shutdown rpc");
     let summary = handle.join();
-    assert!(summary.checkpoint_error.is_none(), "clean shutdown");
-    assert!(summary.checkpoints >= 1);
-
-    // …and so does recovery (from the shutdown checkpoint).
-    let (recovered, _) = recover(&dir, None).expect("recovery succeeds");
+    let error = summary
+        .checkpoint_error
+        .expect("a dead wal cannot checkpoint");
+    assert!(
+        error.contains("wal is dead: write failed: injected fault"),
+        "{error}"
+    );
+    let (recovered, stats) = recover(&dir, Some(&fallback(spec))).expect("recovery succeeds");
+    assert_eq!(stats.replayed, 9);
     assert_eq!(recovered.snapshot(), reference.snapshot());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL directory removed and re-created in one process gets a fresh
+/// log: the engine writes the file now at the path, not the unlinked
+/// one the process-wide storage opened for the previous pass.
+#[test]
+fn a_recreated_wal_directory_recovers_only_its_own_records() {
+    use attrition_serve::Engine;
+
+    let dir = temp_dir("recreated");
+    let spec = WindowSpec::months(Date::from_ymd(2012, 5, 1).unwrap(), 1);
+    let mut dcfg = DurabilityConfig::new(dir.clone());
+    dcfg.checkpoint_every_requests = 0;
+    dcfg.checkpoint_every = None;
+    for pass in 1..=3u32 {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let monitor = ShardedMonitor::new(2, spec, StabilityParams::PAPER, 5);
+        let engine = Engine::open(monitor, None, Some(&dcfg), 1).expect("engine opens");
+        let mut reference = StabilityMonitor::new(spec, StabilityParams::PAPER);
+        let date = Date::from_ymd(2012, 5, pass).unwrap();
+        for customer in 1..=u64::from(pass) {
+            let reply = engine
+                .respond(&format!("INGEST {customer} {date} {pass}"))
+                .1;
+            assert_eq!(reply, "OK 0", "pass {pass}");
+            reference.ingest(CustomerId::new(customer), date, &Basket::from_raw(&[pass]));
+        }
+        drop(engine);
+        let (recovered, stats) = recover(&dir, Some(&fallback(spec))).expect("recovery succeeds");
+        assert_eq!(stats.replayed, u64::from(pass), "pass {pass}");
+        assert_eq!(recovered.snapshot(), reference.snapshot(), "pass {pass}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

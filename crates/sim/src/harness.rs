@@ -14,7 +14,7 @@
 //! Real, byte-for-byte the production code: `Service::execute`, the
 //! frame method the TCP layer calls (request parsing, WAL-then-apply
 //! ordering, one group commit per frame, checkpoint triggers),
-//! `wal.rs` framing and rollback, `checkpoint.rs` atomic writes,
+//! `wal.rs` framing and group writes, `checkpoint.rs` atomic writes,
 //! `recovery.rs` restore+replay. Simulated: the clock
 //! ([`SimClock`]), the disk ([`SimStorage`]), and the wire (this
 //! module's delivery loop standing in for TCP).
@@ -56,11 +56,13 @@ use attrition_serve::protocol::{format_score, member_responses, Request};
 use attrition_serve::recovery::{recover_in, Fallback};
 use attrition_serve::shard::ShardedMonitor;
 use attrition_serve::wal::{LogEnd, WAL_FILE};
-use attrition_serve::{FaultPlan, Service, SplitMix64, Storage, SyncPolicy};
+use attrition_serve::{FaultPlan, RngCore, Service, SplitMix64, Storage, SyncPolicy};
 use attrition_store::WindowSpec;
 use attrition_types::{Basket, CustomerId, Date, ItemId};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A deliberately re-introduced bug, for proving the harness *can*
@@ -74,6 +76,84 @@ pub enum SimBug {
     /// them. The exact failure mode the recovered-end handoff exists to
     /// prevent.
     ResumeAtFileLength,
+    /// Land each WAL write only after the log's next fsync (a
+    /// [`Storage`] wrapper around the simulated disk): the fsync a
+    /// commit pays covers the groups before it but not its own, so a
+    /// group the sync policy calls durable can still be lost in a crash.
+    /// The durability floor must catch it.
+    WriteAfterFsync,
+}
+
+/// [`SimBug::WriteAfterFsync`]'s disk: positioned writes to the WAL are
+/// held back and land, unsynced, right after the log's next fsync.
+struct LateWalWrites {
+    disk: Arc<SimStorage>,
+    held: Mutex<Vec<(PathBuf, u64, Vec<u8>)>>,
+}
+
+impl LateWalWrites {
+    fn held(&self) -> std::sync::MutexGuard<'_, Vec<(PathBuf, u64, Vec<u8>)>> {
+        self.held.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+impl Storage for LateWalWrites {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.disk.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.disk.write(path, bytes)
+    }
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        // The empty write is `Storage::open` creating the log: it lands.
+        if bytes.is_empty() || !path.ends_with(WAL_FILE) {
+            return self.disk.write_at(path, offset, bytes);
+        }
+        self.held()
+            .push((path.to_owned(), offset, bytes.to_owned()));
+        Ok(())
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        self.disk.sync(path)?;
+        for (path, offset, bytes) in self.held().drain(..) {
+            self.disk.write_at(&path, offset, &bytes)?;
+        }
+        Ok(())
+    }
+    fn set_len(&self, path: &Path, len: u64) -> io::Result<u64> {
+        self.disk.set_len(path, len)
+    }
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.disk.len(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.disk.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.disk.remove(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.disk.sync_dir(dir)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.disk.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.disk.create_dir_all(dir)
+    }
+}
+
+/// The storage a node's engine runs on: the simulated disk, or the disk
+/// behind the planted bug's wrapper. A fresh wrapper per incarnation:
+/// the writes it held die with the process.
+fn node_storage(disk: &Arc<SimStorage>, bug: Option<SimBug>) -> Arc<dyn Storage> {
+    match bug {
+        Some(SimBug::WriteAfterFsync) => Arc::new(LateWalWrites {
+            disk: Arc::clone(disk),
+            held: Mutex::new(Vec::new()),
+        }),
+        _ => Arc::clone(disk) as Arc<dyn Storage>,
+    }
 }
 
 /// One simulated world. Construct via [`SimConfig::for_seed`] (the
@@ -155,9 +235,10 @@ pub struct SimReport {
     pub acked: u64,
     /// Crash-restarts (faulted and the final mandatory one).
     pub crashes: u64,
-    /// Crash-restarts caused by a WAL death between a frame's appends
-    /// and its group-commit fsync — the dead WAL answered a logged
-    /// member with a WAL failure (a subset of `crashes`).
+    /// Crash-restarts caused by a WAL death in a frame's group commit —
+    /// its write or its fsync failed, or the process died between the
+    /// two — so the dead WAL answered a logged member with a WAL failure
+    /// (a subset of `crashes`).
     pub mid_commit_crashes: u64,
     /// Clean shutdown-and-recover cycles.
     pub clean_restarts: u64,
@@ -211,6 +292,17 @@ pub fn seeded_faults(seed: u64) -> FaultPlan {
     FaultPlan {
         fail_sync_seq: (seed & 2 == 0).then_some(5 + seed % 40),
         ..FaultPlan::seeded(seed)
+    }
+}
+
+/// A crash-restarted node is a new incarnation: its WAL draws disk
+/// faults from a fresh stream, taken from `rng`. A failed group write
+/// kills the log, so without this a node that re-applies the records
+/// whose write killed its predecessor (a replica re-fetching them) would
+/// redraw the same fault at every restart.
+pub(crate) fn reincarnate(durability: &mut DurabilityConfig, rng: &mut SplitMix64) {
+    if let Some(plan) = &mut durability.fault_plan {
+        plan.seed = rng.next_u64();
     }
 }
 
@@ -557,7 +649,7 @@ impl Sim {
             None,
             Some(&dcfg),
             LogEnd::EMPTY,
-            Arc::clone(&storage) as Arc<dyn Storage>,
+            node_storage(&storage, config.bug),
             Arc::clone(&clock) as Arc<dyn attrition_serve::Clock>,
         )
         .expect("in-memory engine open cannot fail");
@@ -584,8 +676,8 @@ impl Sim {
 
     /// Execute one frame against the engine (the simulated server side)
     /// and account for it member by member. Returns whether the frame's
-    /// group commit failed after its appends: a logged member was
-    /// answered with a WAL failure.
+    /// group commit failed: a logged member was answered with a WAL
+    /// failure.
     fn deliver(&mut self, frame: &[String], acked: bool) -> bool {
         let fsyncs = self.engine.wal_fsyncs();
         let (out, outcomes) = execute_frame(&self.engine, frame, false);
@@ -721,12 +813,13 @@ impl Sim {
         }
 
         let sharded = ShardedMonitor::from_monitor(monitor, self.config.n_shards);
+        reincarnate(&mut self.dcfg, &mut self.crash_rng);
         match Engine::open_in(
             sharded,
             None,
             Some(&self.dcfg),
             wal_end,
-            Arc::clone(&self.storage) as Arc<dyn Storage>,
+            node_storage(&self.storage, self.config.bug),
             Arc::clone(&self.clock) as Arc<dyn attrition_serve::Clock>,
         ) {
             Ok(engine) => self.engine = engine,
@@ -775,9 +868,9 @@ impl Sim {
                 if self.engine.wal_crashed() {
                     // A fault froze the WAL. The process is as good as
                     // dead: crash-restart and prove the floor held. When
-                    // the frame's commit failed, this is the
-                    // mid-group-commit window where the frame sits in the
-                    // file with none of it durable or acked.
+                    // the frame's commit failed, its members were applied
+                    // but none was acked, and the file holds all, part or
+                    // none of its group.
                     if commit_failed {
                         self.mid_commit_crashes += 1;
                     }

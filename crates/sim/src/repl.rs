@@ -66,8 +66,8 @@
 
 use crate::env::{SimClock, SimStorage};
 use crate::harness::{
-    execute_frame, fresh_monitor, script_frames, scripted_op, seeded_faults, spec, Ledger,
-    MAX_EXPLANATIONS, OPS_PER_MONTH,
+    execute_frame, fresh_monitor, reincarnate, script_frames, scripted_op, seeded_faults, spec,
+    Ledger, MAX_EXPLANATIONS, OPS_PER_MONTH,
 };
 use crate::net::SimNet;
 use attrition_core::{StabilityMonitor, StabilityParams};
@@ -778,6 +778,7 @@ impl ReplSim {
         }
         self.ledger.mirror = reference;
         let sharded = ShardedMonitor::from_monitor(monitor, self.config.n_shards);
+        reincarnate(&mut self.pcfg, &mut self.crash_rng);
         let engine = match Engine::open_in(
             sharded,
             None,
@@ -812,6 +813,7 @@ impl ReplSim {
         }
         let synced_floor = self.replica.durable_seq();
         self.storage_r.crash(&mut self.crash_rng);
+        reincarnate(&mut self.rcfg.durability, &mut self.crash_rng);
         let (replica, stats) = match ReplicaEngine::open_in(
             self.rcfg.clone(),
             Arc::clone(&self.storage_r) as Arc<dyn Storage>,
@@ -855,6 +857,7 @@ impl ReplSim {
         }
         let synced_floor = self.replica.durable_seq();
         self.storage_r.crash(&mut self.crash_rng);
+        reincarnate(&mut self.rcfg.durability, &mut self.crash_rng);
         let (replica, stats) = match ReplicaEngine::open_in(
             self.rcfg.clone(),
             Arc::clone(&self.storage_r) as Arc<dyn Storage>,
@@ -1185,6 +1188,7 @@ impl ReplSim {
         let synced_floor = rj.durable_seq();
         drop(rj);
         self.storage_p.crash(&mut self.crash_rng);
+        reincarnate(&mut self.rjcfg.durability, &mut self.crash_rng);
         let (engine, stats) = match ReplicaEngine::open_in(
             self.rjcfg.clone(),
             Arc::clone(&self.storage_p) as Arc<dyn Storage>,

@@ -39,6 +39,26 @@ fn sweep_64_seeds_under_full_fault_schedules() {
     );
 }
 
+/// Run `bug`'s worlds for seeds 0..32 and return the first that fails,
+/// printing its violation and repro command; the same seed must replay
+/// the same violation, bit for bit.
+fn caught_within_32_seeds(bug: SimBug) -> (u64, Vec<String>) {
+    for seed in 0..32 {
+        let report = run(&SimConfig::with_bug(seed, bug));
+        if !report.passed() {
+            println!(
+                "seed {seed} caught {bug:?}: {}\n  repro: {}",
+                report.violations[0],
+                repro_command(seed)
+            );
+            let again = run(&SimConfig::with_bug(seed, bug));
+            assert_eq!(report.violations, again.violations, "seed {seed} replays");
+            return (seed, report.violations);
+        }
+    }
+    panic!("{bug:?} survived 32 seeds — the harness cannot catch it");
+}
+
 /// The harness must *fail* when the stack is broken: re-introduce the
 /// bug the preallocated log can have (the WAL resumes at the file's
 /// length instead of the recovered end, so appends land behind a hole
@@ -46,31 +66,24 @@ fn sweep_64_seeds_under_full_fault_schedules() {
 /// reproducible seed within a small sweep.
 #[test]
 fn known_bad_schedule_fails_with_a_printed_seed() {
-    let mut caught = None;
-    for seed in 0..32 {
-        let report = run(&SimConfig::with_bug(seed, SimBug::ResumeAtFileLength));
-        if !report.passed() {
-            println!(
-                "seed {seed} caught the bug: {}\n  repro: {}",
-                report.violations[0],
-                repro_command(seed)
-            );
-            caught = Some((seed, report));
-            break;
-        }
-    }
-    let (seed, report) = caught.expect(
-        "ResumeAtFileLength survived 32 seeds — the harness cannot catch a misplaced log end",
-    );
+    let (_, violations) = caught_within_32_seeds(SimBug::ResumeAtFileLength);
     assert!(
-        report.violations[0].contains("lost"),
-        "the violation should be a durability loss: {:?}",
-        report.violations
+        violations[0].contains("lost"),
+        "the violation should be a durability loss: {violations:?}"
     );
-    // The seed is a faithful repro: the same world replays the same
-    // violation, bit for bit.
-    let again = run(&SimConfig::with_bug(seed, SimBug::ResumeAtFileLength));
-    assert_eq!(report.violations, again.violations);
+}
+
+/// A commit whose fsync does not cover its own group's write — each WAL
+/// write lands only after the next fsync — acks records a crash can
+/// still lose; the durability floor must catch it with a reproducible
+/// seed.
+#[test]
+fn a_commit_whose_fsync_misses_its_write_is_caught_with_a_printed_seed() {
+    let (_, violations) = caught_within_32_seeds(SimBug::WriteAfterFsync);
+    assert!(
+        violations[0].contains("lost durable records"),
+        "the violation should be a durability loss: {violations:?}"
+    );
 }
 
 /// The replay hook the repro command targets: runs the standard sweep
